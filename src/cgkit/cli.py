@@ -65,6 +65,13 @@ def _require_plain(g: ChainGraph, table, who: str):
         raise StructureError(f"{who} expects variable nodes only")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _default_seed() -> int:
     env = os.environ.get("CGKIT_SEED")
     return int(env) if env else 0
@@ -366,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("gauss-check", _cmd_gauss_check, "verify separations against sampled covariances")
     sp.add_argument("file")
-    sp.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds")
+    sp.add_argument("--seeds", type=_positive_int, default=1, help="number of consecutive seeds")
     sp.add_argument("--seed", type=int, default=_default_seed(), help="first seed")
 
     sp = add("gen", _cmd_gen, "sample a random valid chain graph")

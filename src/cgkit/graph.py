@@ -4,7 +4,8 @@ A chain graph mixes directed and undirected edges and has no semidirected
 cycle (a cycle that uses at least one directed edge, with every directed
 edge on it pointing the same way around).  Graphs here are immutable
 values: transforms build new graphs, queries are read-only, and instances
-can be shared freely across threads.
+can be shared freely across threads.  The separation engines keep derived
+tables in slots of the graph itself, so they are freed with it.
 
 Construction accepts structurally broken input on purpose; ``validate``
 reports the problems as data instead of raising.
@@ -58,6 +59,9 @@ class ChainGraph:
         "nodes", "directed", "undirected",
         "dir_parents", "dir_children", "und_neighbors",
         "_key", "_hash",
+        # derived tables the separation engines fill on first use
+        "_amp_moves", "_all_neighbors", "_lwf_static",
+        "__weakref__",
     )
 
     def __init__(self, nodes, directed: Iterable = (), undirected: Iterable = ()):
@@ -82,6 +86,7 @@ class ChainGraph:
         self.und_neighbors = {k: frozenset(v) for k, v in neighbors.items()}
         self._key = (frozenset(self.nodes.items()), self.directed, self.undirected)
         self._hash = hash(self._key)
+        self._amp_moves = self._all_neighbors = self._lwf_static = None
 
     def kind(self, name: str) -> str:
         return self.nodes[name]

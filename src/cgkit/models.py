@@ -1,14 +1,23 @@
 """Full independence models over small universes.
 
 A model is the set of all separations (x, y, z) a graph encodes, with x, y,
-z disjoint subsets of a universe and x, y nonempty.  Triples are stored as
-packed int64 bitmasks (x | y<<16 | z<<32 over sorted universe positions),
-canonicalized so the x side holds the lexicographically least node.  Since
-x and y are disjoint, comparing lowest set bits implements that ordering.
+z disjoint subsets of a universe and x, y nonempty.  Separation of node sets
+decomposes into pairs: x and y are separated given z exactly when no node of
+x is connected to a node of y given z.  So a model is stored as its
+elementary triples (a, b | z): for every conditioning set z, one row table
+holding each node's connectivity bitmask over sorted universe positions.
+The rows are symmetric and empty on z and on the diagonal; a node that z
+determines has an empty row.  The row tables determine the model, so they
+are its only state, and equality, hashing, membership, counting and
+projection all work on them.
 
-Enumeration walks conditioning sets in the outer loop: per z it computes
-pairwise connectivity once (separation of node sets decomposes into pairs)
-and then sweeps all x/y assignments of the free nodes vectorized.
+Full triples are expanded only where output needs them (``triples``,
+``dumps``, ``model_diff``), in ascending order of z, then y, then x as
+bitmasks, each unordered pair once with the x side holding the
+lexicographically least node.
+
+Enumeration walks the conditioning sets and stores the connectivity rows
+of each, computed once per distinct D(Z).
 """
 
 from __future__ import annotations
@@ -24,20 +33,8 @@ from .separation import AMP, LWF, amp_connectivity, lwf_connectivity
 
 # full enumeration is exponential; refuse universes past this size
 MAX_MODEL_NODES = 12
-
-_X, _Y, _OUT = 0, 1, 2
-_digit_cache: dict = {}
-
-
-def _digits(f: int) -> np.ndarray:
-    """All length-f base-3 vectors, one row per x/y/out assignment."""
-    if f not in _digit_cache:
-        if f == 0:
-            _digit_cache[f] = np.zeros((1, 0), np.int8)
-        else:
-            r = np.arange(3**f)
-            _digit_cache[f] = np.stack([(r // 3**t) % 3 for t in range(f)], axis=1).astype(np.int8)
-    return _digit_cache[f]
+# random_cg is quadratic in the node count and names nodes N000..N999
+MAX_GEN_NODES = 1000
 
 
 def triple_count(n: int) -> int:
@@ -62,63 +59,161 @@ def _split_names(field: str):
     return tuple(parts)
 
 
+def _positions(mask: int):
+    """Set bit positions of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _submasks(mask: int):
+    """Nonempty submasks of mask, ascending."""
+    sub = (-mask) & mask
+    while sub:
+        yield sub
+        sub = (sub - mask) & mask
+
+
+def _unions(row, mask: int):
+    """(s, reach) for each nonempty s ⊆ mask, ascending, where reach is the
+    union of the rows of the members of s."""
+    pos = list(_positions(mask))
+    sets = [0] * (1 << len(pos))
+    reach = [0] * (1 << len(pos))
+    # index k deposits onto the positions of mask, so sets ascend with k
+    for k in range(1, len(sets)):
+        low = k & -k
+        p = pos[low.bit_length() - 1]
+        s = sets[k] = sets[k ^ low] | 1 << p
+        r = reach[k] = reach[k ^ low] | row[p]
+        yield s, r
+
+
+def _core_labellings(row) -> int:
+    """Ways to label the nodes with nonempty rows x, y or neither so that no
+    x node is connected to a y node."""
+    core = 0
+    for i, r in enumerate(row):
+        if r:
+            core |= 1 << i
+    return (1 << core.bit_count()) + sum(
+        1 << (core & ~(x | reach)).bit_count() for x, reach in _unions(row, core)
+    )
+
+
+def _positions_of(universe):
+    """The sorted universe and each node's position in it."""
+    order = tuple(sorted(universe))
+    if len(order) > 16:
+        raise GuardError("models support at most 16 universe nodes")
+    pos = {v: i for i, v in enumerate(order)}
+    if len(pos) != len(order):
+        raise ValueError("model universe repeats a node")
+    return order, pos
+
+
+def _mask_of(pos, names) -> int:
+    m = 0
+    for v in names:
+        if v not in pos:
+            raise ValueError(f"node {v} not in model universe")
+        m |= 1 << pos[v]
+    return m
+
+
+def _triple_masks(pos, x, y, z):
+    """Bitmasks of a triple, x holding the least node."""
+    xm, ym, zm = _mask_of(pos, x), _mask_of(pos, y), _mask_of(pos, z)
+    if xm == 0 or ym == 0 or (xm & ym) or (zm & (xm | ym)):
+        raise ValueError("triple parts must be disjoint with nonempty x and y")
+    if (xm & -xm) > (ym & -ym):
+        xm, ym = ym, xm
+    return xm, ym, zm
+
+
 class IndependenceModel:
-    """An immutable set of canonical separation triples over a universe."""
+    """An immutable independence model: one pairwise row table per conditioning set.
 
-    __slots__ = ("universe", "packed", "_pos")
+    rows[z][i] is the bitmask of universe positions that node i stays
+    connected to given the conditioning set with bitmask z; positions index
+    the sorted universe.  The rows must be symmetric and empty on z and on
+    the diagonal, as enumerate_model, project_model and loads build them.
+    """
 
-    def __init__(self, universe: Iterable[str], packed=()):
-        self.universe = tuple(sorted(universe))
-        if len(self.universe) > 16:
-            raise GuardError("models support at most 16 universe nodes")
-        self._pos = {v: i for i, v in enumerate(self.universe)}
-        arr = np.asarray(list(packed) if not isinstance(packed, np.ndarray) else packed, dtype=np.int64)
-        self.packed = np.unique(arr)
+    __slots__ = ("universe", "rows", "_pos")
 
-    def _mask(self, names) -> int:
-        m = 0
-        for v in names:
-            if v not in self._pos:
-                raise ValueError(f"node {v} not in model universe")
-            m |= 1 << self._pos[v]
-        return m
+    def __init__(self, universe: Iterable[str], rows):
+        self.universe, self._pos = _positions_of(universe)
+        n = len(self.universe)
+        self.rows = tuple(tuple(r) for r in rows)
+        if len(self.rows) != 1 << n or any(len(r) != n for r in self.rows):
+            raise ValueError(f"a model over {n} nodes needs {1 << n} rows of {n} masks")
 
-    def _pack(self, x, y, z) -> int:
-        xm, ym, zm = self._mask(x), self._mask(y), self._mask(z)
-        if xm == 0 or ym == 0 or (xm & ym) or (zm & (xm | ym)):
-            raise ValueError("triple parts must be disjoint with nonempty x and y")
-        if (xm & -xm) > (ym & -ym):
-            xm, ym = ym, xm
-        return xm | ym << 16 | zm << 32
+    def _name_table(self) -> list:
+        """Sorted name tuple of every universe bitmask, indexed by the mask."""
+        out = [()]
+        for k in range(1, len(self.rows)):
+            low = k & -k
+            out.append((self.universe[low.bit_length() - 1],) + out[k ^ low])
+        return out
 
-    def _names(self, mask: int):
-        return tuple(v for i, v in enumerate(self.universe) if mask >> i & 1)
+    def _expand(self, zm: int):
+        """(x, y) bitmasks of the triples at conditioning set zm, in dump order.
 
-    def _unpack(self, value: int):
-        v = int(value)
-        return self._names(v & 0xFFFF), self._names(v >> 16 & 0xFFFF), self._names(v >> 32 & 0xFFFF)
+        Nodes outside z and y and not connected to y can join x; lo holds
+        those below y's least node, hi the rest.  The canonical x are then a
+        nonempty part of lo together with any part of hi.
+        """
+        row = self.rows[zm]
+        free = (len(self.rows) - 1) & ~zm
+        for y, reach in _unions(row, free):
+            a = free & ~(y | reach)
+            below = (y & -y) - 1
+            # hi bits outrank lo bits, so this nesting ascends in x
+            for h in (0, *_submasks(a & ~below)):
+                for lo in _submasks(a & below):
+                    yield h | lo, y
 
     def has(self, x, y, z=()) -> bool:
-        v = self._pack(x, y, z)
-        i = np.searchsorted(self.packed, v)
-        return bool(i < len(self.packed) and self.packed[i] == v)
+        xm, ym, zm = _triple_masks(self._pos, x, y, z)
+        row = self.rows[zm]
+        acc = 0
+        for i in _positions(xm):
+            acc |= row[i]
+        return not acc & ym
 
     def triples(self):
-        for v in self.packed:
-            yield self._unpack(v)
+        names = self._name_table()
+        for zm in range(len(self.rows)):
+            for x, y in self._expand(zm):
+                yield names[x], names[y], names[zm]
 
     def __len__(self):
-        return len(self.packed)
+        # Counted from the rows without expanding.  Labelling the free nodes
+        # x, y or neither with no x-y connection gives core * 3^k labellings,
+        # k being the free nodes with empty rows; dropping those with x or y
+        # empty and halving leaves the canonical triples.
+        n = len(self.universe)
+        cores: dict = {}
+        total = 0
+        for zm, row in enumerate(self.rows):
+            if row not in cores:
+                cores[row] = _core_labellings(row)
+            f = n - zm.bit_count()
+            k = f - sum(1 for r in row if r)
+            total += cores[row] * 3**k - 2 ** (f + 1) + 1
+        return total // 2
 
     def __eq__(self, other):
         return (
             isinstance(other, IndependenceModel)
             and self.universe == other.universe
-            and np.array_equal(self.packed, other.packed)
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.universe, self.packed.tobytes()))
+        return hash((self.universe, self.rows))
 
     def __repr__(self):
         return f"IndependenceModel(universe={self.universe!r}, triples={len(self)})"
@@ -126,26 +221,60 @@ class IndependenceModel:
     def dumps(self) -> str:
         head = ",".join(self.universe) if self.universe else "-"
         lines = [f"# universe {head}"]
-        for x, y, z in self.triples():
-            lines.append(f"{','.join(x)} | {','.join(y)} | {','.join(z) if z else '-'}")
+        labels = [",".join(t) for t in self._name_table()]
+        for zm in range(len(self.rows)):
+            zl = labels[zm] if zm else "-"
+            for x, y in self._expand(zm):
+                lines.append(f"{labels[x]} | {labels[y]} | {zl}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def loads(cls, text: str) -> "IndependenceModel":
+        """Parse a dump; refuse one that no row table reproduces exactly.
+
+        The rows come from the singleton lines.  Re-expanding them must give
+        back the lines read, which holds exactly when the dump is closed
+        under composition and decomposition.
+        """
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("# universe"):
             raise ValueError("model dump must start with a '# universe' line")
-        universe = _split_names(lines[0][len("# universe"):].strip())
-        m = cls(universe)
-        packed = []
+        universe, pos = _positions_of(_split_names(lines[0][len("# universe"):].strip()))
+        n = len(universe)
+        full = (1 << n) - 1
+        read: dict = {}
         for ln in lines[1:]:
             if ln.startswith("#"):
                 continue
             fields = [f.strip() for f in ln.split("|")]
             if len(fields) != 3:
                 raise ValueError(f"malformed model line: {ln!r}")
-            packed.append(m._pack(*(_split_names(f) for f in fields)))
-        return cls(universe, packed)
+            xm, ym, zm = _triple_masks(pos, *(_split_names(f) for f in fields))
+            read.setdefault(zm, set()).add((xm, ym))
+        rows = []
+        for zm in range(1 << n):
+            free = full & ~zm
+            row = [free & ~(1 << i) if free >> i & 1 else 0 for i in range(n)]
+            for xm, ym in read.get(zm, ()):
+                if not (xm & (xm - 1) or ym & (ym - 1)):
+                    row[xm.bit_length() - 1] &= ~ym
+                    row[ym.bit_length() - 1] &= ~xm
+            rows.append(tuple(row))
+        m = cls(universe, rows)
+        # a conditioning set without lines keeps complete rows and expands to nothing
+        names = m._name_table()
+        for zm in sorted(read):
+            got = set(m._expand(zm))
+            if got != read[zm]:
+                x, y = min(got ^ read[zm])
+                z = ",".join(names[zm]) or "-"
+                what = "lacks one of its pairwise triples" if (x, y) in read[zm] else (
+                    "is implied by the pairwise triples but missing")
+                raise ValueError(
+                    "model dump is not closed under composition and decomposition: "
+                    f"{','.join(names[x])} | {','.join(names[y])} | {z} {what}"
+                )
+        return m
 
 
 def enumerate_model(
@@ -156,7 +285,8 @@ def enumerate_model(
     *,
     condition_on: Iterable[str] = (),
 ) -> IndependenceModel:
-    """Evaluate every disjoint triple over the universe.
+    """The model of g over the universe: the connectivity rows of every
+    conditioning set, computed once per distinct D(Z).
 
     condition_on names graph nodes outside the universe that join every
     conditioning set; the result is then directly the model projected by
@@ -185,35 +315,22 @@ def enumerate_model(
     else:
         raise ValueError(f"unknown semantics {semantics!r}")
 
-    chunks = []
+    by_dz: dict = {}
+    rows = []
     for zmask in range(1 << n):
         z = frozenset(order[i] for i in range(n) if zmask >> i & 1) | cond
         dz = determined_set(table, z)
-        rows = connectivity(g, dz, order)
-        free = [i for i in range(n) if not zmask >> i & 1]
-        dig = _digits(len(free))
-        m = len(dig)
-        xm = np.zeros(m, np.int64)
-        ym = np.zeros(m, np.int64)
-        acc = np.zeros(m, np.int64)
-        for t, p in enumerate(free):
-            isx = dig[:, t] == _X
-            xm |= isx.astype(np.int64) << p
-            ym |= (dig[:, t] == _Y).astype(np.int64) << p
-            if rows[p]:
-                acc |= np.where(isx, np.int64(rows[p]), np.int64(0))
-        keep = (xm != 0) & (ym != 0) & ((xm & -xm) < (ym & -ym)) & ((acc & ym) == 0)
-        if keep.any():
-            chunks.append(xm[keep] | ym[keep] << 16 | np.int64(zmask) << 32)
-
-    packed = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
-    return IndependenceModel(order, packed)
+        if dz not in by_dz:
+            by_dz[dz] = tuple(connectivity(g, dz, order))
+        rows.append(by_dz[dz])
+    return IndependenceModel(order, rows)
 
 
 def project_model(m: IndependenceModel, l=(), s=()) -> IndependenceModel:
     """Marginalize l out and condition on s.
 
-    Keeps (x, y, z) over the shrunken universe iff (x, y, z∪s) was present.
+    Keeps (x, y, z) over the shrunken universe iff (x, y, z∪s) was present:
+    each new row is the old row at z∪s with the l∪s bits dropped.
     """
     l, s = frozenset(l), frozenset(s)
     if l & s:
@@ -221,32 +338,45 @@ def project_model(m: IndependenceModel, l=(), s=()) -> IndependenceModel:
     stray = (l | s) - set(m.universe)
     if stray:
         raise ValueError(f"not in model universe: {', '.join(sorted(stray))}")
-    lmask, smask = m._mask(l), m._mask(s)
-    keep_pos = [i for i, v in enumerate(m.universe) if not (lmask | smask) >> i & 1]
+    gone = _mask_of(m._pos, l | s)
+    keep = [i for i in range(len(m.universe)) if not gone >> i & 1]
 
-    x = m.packed & 0xFFFF
-    y = m.packed >> 16 & 0xFFFF
-    z = m.packed >> 32 & 0xFFFF
-    drop = np.int64(lmask | smask)
-    ok = ((x & drop) == 0) & ((y & drop) == 0) & ((z & lmask) == 0) & ((z & smask) == smask)
-    x, y, z = x[ok], y[ok], z[ok]
-    nx = np.zeros(len(x), np.int64)
-    ny = np.zeros(len(x), np.int64)
-    nz = np.zeros(len(x), np.int64)
-    for t, p in enumerate(keep_pos):
-        nx |= (x >> p & 1) << t
-        ny |= (y >> p & 1) << t
-        nz |= (z >> p & 1) << t
-    return IndependenceModel((m.universe[i] for i in keep_pos), nx | ny << 16 | nz << 32)
+    squeezed: dict = {}
+
+    def squeeze(r: int) -> int:
+        if r not in squeezed:
+            squeezed[r] = sum(1 << t for t, p in enumerate(keep) if r >> p & 1)
+        return squeezed[r]
+
+    smask = _mask_of(m._pos, s)
+    tables: dict = {}
+    rows = []
+    # new conditioning sets in ascending order, each as the old z ∪ s
+    for zm in (smask, *(sub | smask for sub in _submasks((len(m.rows) - 1) & ~gone))):
+        old = m.rows[zm]
+        if old not in tables:
+            tables[old] = tuple(squeeze(old[p]) for p in keep)
+        rows.append(tables[old])
+    return IndependenceModel((m.universe[i] for i in keep), rows)
 
 
 def model_diff(m1: IndependenceModel, m2: IndependenceModel):
-    """Triples only in m1 and only in m2, decoded for reporting."""
+    """Triples only in m1 and only in m2, decoded for reporting, in dump order.
+
+    Only conditioning sets whose row tables differ are expanded.
+    """
     if m1.universe != m2.universe:
         raise ValueError("models have different universes")
-    only1 = np.setdiff1d(m1.packed, m2.packed)
-    only2 = np.setdiff1d(m2.packed, m1.packed)
-    return [m1._unpack(v) for v in only1], [m2._unpack(v) for v in only2]
+    names = m1._name_table()
+    only1, only2 = [], []
+    for zm, (r1, r2) in enumerate(zip(m1.rows, m2.rows)):
+        if r1 == r2:
+            continue
+        t1, t2 = list(m1._expand(zm)), list(m2._expand(zm))
+        s1, s2 = set(t1), set(t2)
+        only1 += [(names[x], names[y], names[zm]) for x, y in t1 if (x, y) not in s2]
+        only2 += [(names[x], names[y], names[zm]) for x, y in t2 if (x, y) not in s1]
+    return only1, only2
 
 
 def random_cg(n: int, edge_density: float, seed: int) -> ChainGraph:
@@ -259,6 +389,8 @@ def random_cg(n: int, edge_density: float, seed: int) -> ChainGraph:
     """
     if n < 1:
         raise ValueError("need at least one node")
+    if n > MAX_GEN_NODES:
+        raise GuardError(f"{n} nodes requested; guard allows {MAX_GEN_NODES} nodes")
     if not 0.0 <= edge_density <= 1.0:
         raise ValueError("edge_density must be in [0, 1]")
     rng = np.random.default_rng(seed)

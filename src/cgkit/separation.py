@@ -23,7 +23,7 @@ ends there.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import wraps
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -83,11 +83,26 @@ def determined_query_nodes(q: SeparationQuery) -> frozenset:
     return (q.x | q.y) & effective_conditioning(q)
 
 
+def _per_graph(build):
+    """Cache build(g) in the graph's slot of the same name, so it dies with g."""
+    slot = build.__name__
+
+    @wraps(build)
+    def get(g: ChainGraph):
+        table = getattr(g, slot)
+        if table is None:
+            table = build(g)
+            setattr(g, slot, table)
+        return table
+
+    return get
+
+
 # ---------------------------------------------------------------------------
 # AMP engine: reachability over (node, entry mark) states
 
 
-@lru_cache(maxsize=None)
+@_per_graph
 def _amp_moves(g: ChainGraph):
     """Route transitions split by whether the visited node must be determined.
 
@@ -196,7 +211,7 @@ def amp_witness(g: ChainGraph, q: SeparationQuery):
 # AMP oracle: literal path criterion over enumerated simple paths
 
 
-@lru_cache(maxsize=None)
+@_per_graph
 def _all_neighbors(g: ChainGraph):
     out = {}
     for v in g.nodes:
@@ -260,7 +275,7 @@ def amp_separated_oracle(g: ChainGraph, q: SeparationQuery) -> bool:
 # LWF engine: anterior restriction + moralization + undirected separation
 
 
-@lru_cache(maxsize=None)
+@_per_graph
 def _lwf_static(g: ChainGraph):
     """Per-graph bitmask tables for the moralization engine."""
     order = tuple(sorted(g.nodes))

@@ -4,7 +4,7 @@ import pytest
 
 from cgkit.cli import run
 from cgkit.fileformat import parse, serialize
-from cgkit.models import IndependenceModel
+from cgkit.models import MAX_GEN_NODES, IndependenceModel
 
 from _corpus import demo_graph
 
@@ -192,6 +192,14 @@ def test_model_universe_restriction(capsys):
     assert len(IndependenceModel.loads(out)) == 0
 
 
+def test_project_refuses_dump_not_closed(capsys, tmp_path):
+    f = tmp_path / "open.model"
+    f.write_text("# universe A,B,C\nA,B | C | -\n")
+    code, out, err = _run(capsys, "project", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("cgkit: error:") and "not closed" in err
+
+
 def test_model_guard_refuses_large(capsys, tmp_path, monkeypatch):
     code, big, _ = _run(capsys, "gen", "--nodes", "13", "--seed", "0")
     monkeypatch.setattr("sys.stdin", io.StringIO(big))
@@ -235,6 +243,13 @@ def test_gauss_check_demo(capsys):
     assert code == 0
     assert "# seed 5" in out and "# seed 6" in out
     assert out.rstrip().endswith("# total violations over 2 seeds: 0")
+
+
+def test_gauss_check_refuses_no_seeds(capsys):
+    for seeds in ("0", "-1"):
+        code, out, err = _run(capsys, "gauss-check", f"{DATA}/demo_g.cg", "--seeds", seeds)
+        assert (code, out) == (2, "")
+        assert "--seeds" in err
 
 
 # --- gen ---------------------------------------------------------------------------
@@ -288,3 +303,9 @@ def test_usage_error_exit_2(capsys):
 def test_help_exits_zero(capsys):
     assert _run(capsys, "--help")[0] == 0
     assert _run(capsys, "separate", "--help")[0] == 0
+
+
+def test_gen_guard_refuses_large(capsys):
+    code, out, err = _run(capsys, "gen", "--nodes", str(MAX_GEN_NODES + 1))
+    assert (code, out) == (3, "")
+    assert err.startswith("cgkit: guard:")

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from cgkit.models import (
 from cgkit.separation import AMP, LWF, SeparationQuery, separated
 from cgkit.transforms import to_eamp
 
-from _corpus import canonical_triples, demo_graph
+from _corpus import canonical_triples, demo_graph, exhaustive_3node
 
 
 EMPTY = DeterminationTable()
@@ -182,6 +184,9 @@ def test_model_diff():
     assert only_a or only_l  # flags make the interpretations differ
     for x, y, z in only_a:
         assert m.has(x, y, z) and not lwf.has(x, y, z)
+    # dump order, which picks the triple an equiv counterexample reports
+    assert only_a == [t for t in m.triples() if not lwf.has(*t)]
+    assert only_l == [t for t in lwf.triples() if not m.has(*t)]
     with pytest.raises(ValueError):
         model_diff(m, project_model(m, {"A"}, ()))
 
@@ -235,3 +240,71 @@ def test_bulk_matches_engine_with_tables(seed):
     for x, y, z in triples[:60]:
         want = separated(ep.graph, SeparationQuery(x, y, z, sem, ep.table))
         assert m.has(x, y, z) == want
+
+
+# --- the row-table representation -------------------------------------------
+
+
+def _row_corpus():
+    """Every valid 3-node graph and a seeded set of 4-node graphs."""
+    rnd = random.Random(11)
+    four = [random_cg(4, rnd.choice([0.3, 0.5, 0.8]), seed) for seed in range(12)]
+    return exhaustive_3node() + four
+
+
+@pytest.mark.parametrize("sem", [AMP, LWF])
+def test_rows_answer_every_triple_like_the_engine(sem):
+    for g in _row_corpus():
+        m = enumerate_model(g, EMPTY, sem)
+        for x, y, z in canonical_triples(g.nodes):
+            assert m.has(x, y, z) == separated(g, SeparationQuery(x, y, z, sem, EMPTY)), (g, x, y, z)
+
+
+@pytest.mark.parametrize("sem", [AMP, LWF])
+def test_rows_count_round_trip_and_symmetry(sem):
+    # the augmented graphs add determined nodes, whose rows are empty
+    cases = [(g, EMPTY) for g in _row_corpus()]
+    cases += [(ep.graph, ep.table) for ep in map(to_eamp, exhaustive_3node())]
+    for g, table in cases:
+        m = enumerate_model(g, table, sem)
+        assert len(m) == sum(1 for _ in m.triples())
+        m2 = IndependenceModel.loads(m.dumps())
+        assert m2 == m and hash(m2) == hash(m)
+        n = len(m.universe)
+        for zm, row in enumerate(m.rows):
+            for i in range(n):
+                assert not row[i] & (zm | 1 << i)
+                for j in range(n):
+                    assert (row[i] >> j & 1) == (row[j] >> i & 1)
+
+
+@pytest.mark.parametrize("name, sem, digest", [
+    ("demo_g.cg", AMP, "d8c722cd8e61437bdae8a9e26e71eb710c7552b448631a81a9b89991a685f00f"),
+    ("demo_g.cg", LWF, "0b6e953fd796d0fbd2bd099c706ff42bf53a7f09af9d7717e9e65e2245b37c7c"),
+    ("demo_eamp.cg", AMP, "97c7d2a81eead8e9e855e0620b0573a0dd656f7c9f877cae1fd483b9d45da351"),
+    ("demo_eamp.cg", LWF, "97c7d2a81eead8e9e855e0620b0573a0dd656f7c9f877cae1fd483b9d45da351"),
+])
+def test_model_dump_bytes_are_pinned(name, sem, digest):
+    # digests of `cgkit model` output recorded with the packed-triple enumerator
+    with open(f"tests/data/{name}") as fh:
+        g, table = parse(fh.read())
+    text = enumerate_model(g, table, sem).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_loads_rejects_dump_not_closed():
+    # decomposition: A,B | C needs the pairs A | C and B | C
+    with pytest.raises(ValueError, match="not closed"):
+        IndependenceModel.loads("# universe A,B,C\nA,B | C | -\n")
+    # composition: A | C and B | C give A,B | C
+    with pytest.raises(ValueError, match="not closed"):
+        IndependenceModel.loads("# universe A,B,C\nA | C | -\nB | C | -\n")
+    closed = IndependenceModel.loads("# universe A,B,C\nA | C | -\nA,B | C | -\nB | C | -\n")
+    assert closed.has({"A", "B"}, {"C"}) and len(closed) == 3
+
+
+def test_loads_accepts_any_line_order_and_orientation():
+    m = enumerate_model(demo_graph(), EMPTY, LWF)
+    head, *body = m.dumps().splitlines()
+    flipped = [" | ".join([y, x, z]) for x, y, z in (ln.split(" | ") for ln in body)]
+    assert IndependenceModel.loads("\n".join([head] + flipped[::-1])) == m

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,3 +287,14 @@ def test_iteration_order_does_not_matter(n, seed):
         amp_separated(g2, q(x, y, z, AMP, table)),
         lwf_separated(g2, q(x, y, z, LWF, table)),
     ]
+
+
+def test_per_graph_tables_die_with_their_graph():
+    g = demo_graph()
+    for fn in (amp_separated, amp_separated_oracle, lwf_separated):
+        fn(g, q({"C"}, {"B"}, {"A"}, AMP if fn is not lwf_separated else LWF))
+    assert g._amp_moves is not None and g._all_neighbors is not None and g._lwf_static is not None
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
