@@ -236,16 +236,17 @@ def _theorem_sides(g: ChainGraph, which: str, seed: int):
     if which == "4":
         rng = np.random.default_rng(seed)
         names = sorted(g.nodes)
+        if len(names) < 2:
+            return []
+        full = enumerate_model(gp, ep.table, AMP)
         out = []
         for _ in range(3):
-            if len(names) < 2:
-                break
             k = int(rng.integers(1, len(names)))
             l = sorted(str(v) for v in rng.choice(names, size=k, replace=False))
             ml = marginalize_eamp(ep, l)
             out.append((
                 _Side(f"model marginalized over {{{','.join(l)}}} and the error layer",
-                      project_model(enumerate_model(gp, ep.table, AMP), l + eps, ()),
+                      project_model(full, l + eps, ()),
                       gp, AMP, ep.table),
                 _Side(f"model of the graph marginalized over {{{','.join(l)}}}",
                       project_model(enumerate_model(ml.graph, ml.table, AMP), eps, ()),

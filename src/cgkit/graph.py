@@ -59,8 +59,9 @@ class ChainGraph:
         "nodes", "directed", "undirected",
         "dir_parents", "dir_children", "und_neighbors",
         "_key", "_hash",
-        # derived tables the separation engines fill on first use
-        "_amp_moves", "_all_neighbors", "_lwf_static",
+        # derived tables the separation engines fill on first use: the
+        # bitmask tables both engines search, and the path oracle's neighbours
+        "_masks", "_all_neighbors",
         "__weakref__",
     )
 
@@ -86,7 +87,7 @@ class ChainGraph:
         self.und_neighbors = {k: frozenset(v) for k, v in neighbors.items()}
         self._key = (frozenset(self.nodes.items()), self.directed, self.undirected)
         self._hash = hash(self._key)
-        self._amp_moves = self._all_neighbors = self._lwf_static = None
+        self._masks = self._all_neighbors = None
 
     def kind(self, name: str) -> str:
         return self.nodes[name]

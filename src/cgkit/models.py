@@ -132,13 +132,38 @@ def _triple_masks(pos, x, y, z):
     return xm, ym, zm
 
 
+def _check_rows(rows, n: int) -> None:
+    """Refuse rows that are not symmetric, or not empty on z and the diagonal.
+
+    Each distinct table is checked once and summarized by the OR of its
+    rows, which by symmetry is also the set of nodes with nonempty rows; a
+    conditioning set must miss that summary.
+    """
+    touched: dict = {}
+    for zm, row in enumerate(rows):
+        acc = touched.get(row)
+        if acc is None:
+            acc = 0
+            for i, r in enumerate(row):
+                if r < 0 or r >> n or r >> i & 1:
+                    raise ValueError(
+                        f"model row {i} at conditioning set {zm} is not a mask of other nodes")
+                for j in _positions(r):
+                    if not row[j] >> i & 1:
+                        raise ValueError(f"model rows at conditioning set {zm} are not symmetric")
+                acc |= r
+            touched[row] = acc
+        if acc & zm:
+            raise ValueError(f"model rows at conditioning set {zm} are not empty on it")
+
+
 class IndependenceModel:
     """An immutable independence model: one pairwise row table per conditioning set.
 
     rows[z][i] is the bitmask of universe positions that node i stays
     connected to given the conditioning set with bitmask z; positions index
     the sorted universe.  The rows must be symmetric and empty on z and on
-    the diagonal, as enumerate_model, project_model and loads build them.
+    the diagonal; ValueError refuses rows that are not.
     """
 
     __slots__ = ("universe", "rows", "_pos")
@@ -149,6 +174,7 @@ class IndependenceModel:
         self.rows = tuple(tuple(r) for r in rows)
         if len(self.rows) != 1 << n or any(len(r) != n for r in self.rows):
             raise ValueError(f"a model over {n} nodes needs {1 << n} rows of {n} masks")
+        _check_rows(self.rows, n)
 
     def _name_table(self) -> list:
         """Sorted name tuple of every universe bitmask, indexed by the mask."""

@@ -4,17 +4,27 @@ Two semantics are implemented over chain graphs with deterministic nodes.
 Writing dz for determined_set(table, z):
 
 AMP: a route is open when every triplex visit (patterns ->b<-, ->b-, -b<-)
-is at a node in dz and no non-triplex visit is.  The engine runs
-reachability over (node, entry mark) states.  The oracle enumerates simple
-paths and applies the path criterion, where a triplex node may also sit in
+is at a node in dz and no non-triplex visit is.  Whether a visit is
+triplex depends only on the mark the route entered the node by and the edge
+it leaves along, so the engine is one level-synchronous search over three
+frontier bitmasks, one per entry mark (head, line, tail): each level ORs
+the child, neighbour or parent masks of the frontier nodes the marks and dz
+let through.  The verdict, the bulk connectivity rows and the witness all
+run it; the witness keeps the frontiers of every level and rebuilds a
+shortest route backwards from them.  The oracle enumerates simple paths
+and applies the path criterion, where a triplex node may also sit in
 strict_ascendants(dz) and a determined -b- node stays passable while some
 parent of b is outside dz.
 
 LWF: a route is open when every collider section (maximal undirected
 stretch entered by arrowheads at both ends) meets dz and no other section
 does.  The engine uses the classical equivalent: restrict to the anterior
-set of x∪y∪dz, moralize, and test undirected separation by dz.  The oracle
-expands routes level by level under the section criterion.
+set of x∪y∪dz, moralize, and test undirected separation by dz.  The
+marriages of each chain component are precomputed per graph; a search
+applies those of the components inside its area.  The bulk rows memoize by
+area, since pairs with the same anterior area share one moral graph, and
+label each of its components with one reach.  The oracle expands routes
+level by level under the section criterion.
 
 Both semantics treat a query node inside dz like any other determined
 node: conditioning effectively swallows it, so no open route starts or
@@ -25,7 +35,7 @@ from __future__ import annotations
 
 from functools import wraps
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Optional
 
 from .determinism import DeterminationTable, determined_set
 from .errors import GuardError, QueryError
@@ -38,8 +48,9 @@ SEMANTICS = (AMP, LWF)
 AMP_ORACLE_MAX_NODES = 12
 LWF_ORACLE_MAX_NODES = 8
 
-# entry marks for route states
-_START, _HEAD, _TAIL, _LINE = range(4)
+# entry marks of AMP route states, and the edge drawn into a node entered by each
+_HEAD, _LINE, _TAIL = range(3)
+_LINKS = ("->", "--", "<-")
 
 
 class SeparationQuery:
@@ -99,112 +110,149 @@ def _per_graph(build):
 
 
 # ---------------------------------------------------------------------------
-# AMP engine: reachability over (node, entry mark) states
+# Per-graph bitmask tables shared by both engines
+
+
+class _Masks:
+    """Bitmasks over a graph's sorted node order.
+
+    ch, pa and ne hold each node's children, parents and undirected
+    neighbours, adj their union, and ant its anterior set: the node plus
+    every node with a route into it that never leaves against an arrow.
+    comps lists the chain components with at least two outside parents as
+    (members, marriages), a marriage being (parent position, the other parents).
+    """
+
+    __slots__ = ("order", "pos", "ch", "pa", "ne", "adj", "ant", "comps")
+
+
+def _mask(pos, xs) -> int:
+    m = 0
+    for v in xs:
+        m |= 1 << pos[v]
+    return m
+
+
+def _union(masks, bits: int) -> int:
+    """OR of masks[k] over the set bit positions k of bits."""
+    out = 0
+    while bits:
+        bit = bits & -bits
+        bits ^= bit
+        out |= masks[bit.bit_length() - 1]
+    return out
 
 
 @_per_graph
-def _amp_moves(g: ChainGraph):
-    """Route transitions split by whether the visited node must be determined.
+def _masks(g: ChainGraph) -> _Masks:
+    t = _Masks()
+    t.order = order = tuple(sorted(g.nodes))
+    t.pos = pos = {v: i for i, v in enumerate(order)}
+    t.ch = tuple(_mask(pos, g.dir_children[v]) for v in order)
+    t.pa = pa = tuple(_mask(pos, g.dir_parents[v]) for v in order)
+    t.ne = ne = tuple(_mask(pos, g.und_neighbors[v]) for v in order)
+    t.adj = tuple(c | p | n for c, p, n in zip(t.ch, pa, ne))
+    up = tuple(p | n for p, n in zip(pa, ne))
+    ant = []
+    for i in range(len(order)):
+        reach = frontier = 1 << i
+        while frontier:
+            frontier = _union(up, frontier) & ~reach
+            reach |= frontier
+        ant.append(reach)
+    t.ant = tuple(ant)
+    comps = []
+    for part in components(g):
+        members = _mask(pos, part)
+        outside = _union(pa, members) & ~members
+        if outside & (outside - 1):
+            comps.append((members, tuple(
+                (k, outside & ~(1 << k)) for k in range(len(order)) if outside >> k & 1)))
+    t.comps = tuple(comps)
+    return t
 
-    A step through node v entered with mark m and leaving along an edge is a
-    triplex visit exactly when the two edge ends at v are (head, head) or
-    (head, line) or (line, head).  Triplex visits require v in dz, all other
-    visits require v outside dz, and the start mark is unconstrained.
+
+# ---------------------------------------------------------------------------
+# AMP engine: one search over entry-mark frontiers
+
+
+def _amp_search(t: _Masks, dm: int, sources: int, targets: int = 0, levels=None) -> int:
+    """Nodes reached from the sources along routes open given dm, D(Z) as a mask.
+
+    A node outside dm passes a route on only by a non-triplex visit:
+    entered by a head it leaves by ch, by a line by ch or ne, by a tail by
+    any edge.  A node in dm passes it on only by a triplex visit: entered by
+    a head it leaves by pa or ne, by a line by pa, by a tail not at all.
+    Sources count as entered by a tail.  Each (node, mark) state is reached
+    once.  The search stops after the first level that meets targets; if
+    levels is a list, it receives every level's (head, line, tail) frontiers.
     """
-    free: dict = {}
-    det: dict = {}
-    for v in g.nodes:
-        steps = []
-        for w in g.dir_children[v]:
-            steps.append((False, w, _HEAD))           # leave via tail: never triplex
-        for u in g.dir_parents[v]:
-            steps.append((True, u, _TAIL))            # leave against the arrow
-        for w in g.und_neighbors[v]:
-            steps.append((None, w, _LINE))
-        for m in (_START, _HEAD, _TAIL, _LINE):
-            f = []
-            d = []
-            for head_at_v, w, nm in steps:
-                if head_at_v is False:
-                    triplex = False
-                elif head_at_v is True:
-                    triplex = m in (_HEAD, _LINE)
-                else:
-                    triplex = m == _HEAD
-                if m == _START:
-                    f.append((w, nm))
-                    d.append((w, nm))
-                elif triplex:
-                    d.append((w, nm))
-                else:
-                    f.append((w, nm))
-            free[(v, m)] = tuple(f)
-            det[(v, m)] = tuple(d)
-    return free, det
+    ch, pa, ne = t.ch, t.pa, t.ne
+    free = ~dm
+    head = line = seen_h = seen_l = reach = 0
+    tail = seen_t = sources
+    while True:
+        if levels is not None:
+            levels.append((head, line, tail))
+        if reach & targets or not head | line | tail:
+            return reach
+        head, line, tail = (
+            _union(ch, (head | line | tail) & free) & ~seen_h,
+            _union(ne, (line | tail) & free | head & dm) & ~seen_l,
+            _union(pa, tail & free | (head | line) & dm) & ~seen_t,
+        )
+        seen_h |= head
+        seen_l |= line
+        seen_t |= tail
+        reach |= head | line | tail
 
 
-def _amp_reach(g: ChainGraph, dz: frozenset, sources: Iterable[str]) -> set:
-    """Nodes reachable from the sources along dz-open routes."""
-    free, det = _amp_moves(g)
-    seen = {(s, _START) for s in sources}
-    stack = list(seen)
-    reached = set()
-    while stack:
-        v, m = stack.pop()
-        moves = det[(v, m)] if v in dz else free[(v, m)]
-        for state in moves:
-            if state not in seen:
-                seen.add(state)
-                reached.add(state[0])
-                stack.append(state)
-    return reached
+def _query_masks(g: ChainGraph, q: SeparationQuery):
+    """The graph's tables, D(Z) as a mask, and the x and y nodes outside it."""
+    _check_query(g, q)
+    t = _masks(g)
+    dm = _mask(t.pos, determined_set(q.table, q.z))
+    return t, dm, _mask(t.pos, q.x) & ~dm, _mask(t.pos, q.y) & ~dm
 
 
 def amp_separated(g: ChainGraph, q: SeparationQuery) -> bool:
-    """AMP separation with determinism, decided by route-state reachability."""
-    _check_query(g, q)
-    dz = determined_set(q.table, q.z)
-    sources = q.x - dz
-    targets = q.y - dz
+    """AMP separation with determinism, decided by the entry-mark search."""
+    t, dm, sources, targets = _query_masks(g, q)
     if not sources or not targets:
         return True
-    return not (targets & _amp_reach(g, dz, sources))
+    return not _amp_search(t, dm, sources, targets) & targets
 
 
 def amp_witness(g: ChainGraph, q: SeparationQuery):
-    """An open route from x to y as [(node, link), ...], or None if separated.
+    """A shortest open route from x to y as [(node, link), ...], or None if separated.
 
-    link is the edge drawn between a node and its successor: "->", "<-" or "--".
+    link is the edge drawn between a node and its successor: "->", "<-" or
+    "--".  Among shortest routes, the one ending at the lowest node of y is
+    rebuilt backwards, at each step taking the lowest predecessor.
     """
-    _check_query(g, q)
-    dz = determined_set(q.table, q.z)
-    sources = q.x - dz
-    targets = q.y - dz
+    t, dm, sources, targets = _query_masks(g, q)
     if not sources or not targets:
         return None
-    free, det = _amp_moves(g)
-    came: dict = {(s, _START): None for s in sources}
-    queue = list(came)
-    links = {_HEAD: "->", _TAIL: "<-", _LINE: "--"}
-    for v, m in queue:
-        moves = det[(v, m)] if v in dz else free[(v, m)]
-        for w, nm in moves:
-            if (w, nm) in came:
-                continue
-            came[(w, nm)] = (v, m)
-            if w in targets:
-                route = [(w, None)]
-                state = (v, m)
-                link = links[nm]
-                while state is not None:
-                    route.append((state[0], link))
-                    prev = came[state]
-                    if prev is not None:
-                        link = links[state[1]]
-                    state = prev
-                return list(reversed(route))
-            queue.append((w, nm))
-    return None
+    levels: list = []
+    if not _amp_search(t, dm, sources, targets, levels) & targets:
+        return None
+    head, line, tail = levels.pop()
+    bit = (head | line | tail) & targets
+    bit &= -bit
+    mark = _HEAD if head & bit else _LINE if line & bit else _TAIL
+    route = [(t.order[bit.bit_length() - 1], None)]
+    for head, line, tail in reversed(levels):
+        # the states of this level whose visit lets the route step onto (bit, mark)
+        from_h = head & (~dm if mark == _HEAD else dm)
+        from_l = line & (dm if mark == _TAIL else ~dm)
+        from_t = tail & ~dm
+        step = (from_h | from_l | from_t) & (t.pa, t.ne, t.ch)[mark][bit.bit_length() - 1]
+        link = _LINKS[mark]
+        bit = step & -step
+        mark = _HEAD if from_h & bit else _LINE if from_l & bit else _TAIL
+        route.append((t.order[bit.bit_length() - 1], link))
+    route.reverse()
+    return route
 
 
 # ---------------------------------------------------------------------------
@@ -275,73 +323,24 @@ def amp_separated_oracle(g: ChainGraph, q: SeparationQuery) -> bool:
 # LWF engine: anterior restriction + moralization + undirected separation
 
 
-@_per_graph
-def _lwf_static(g: ChainGraph):
-    """Per-graph bitmask tables for the moralization engine."""
-    order = tuple(sorted(g.nodes))
-    pos = {v: i for i, v in enumerate(order)}
-    skeleton = [0] * len(order)
-    for v in order:
-        m = 0
-        for w in g.dir_children[v] | g.dir_parents[v] | g.und_neighbors[v]:
-            m |= 1 << pos[w]
-        skeleton[pos[v]] = m
-
-    ant = [0] * len(order)
-    for v in order:
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in g.dir_parents[u] | g.und_neighbors[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        m = 0
-        for w in seen:
-            m |= 1 << pos[w]
-        ant[pos[v]] = m
-
-    comps = []
-    for part in components(g):
-        members = 0
-        for v in part:
-            members |= 1 << pos[v]
-        pa = 0
-        for v in part:
-            for p in g.dir_parents[v]:
-                if p not in part:
-                    pa |= 1 << pos[p]
-        comps.append((members, pa))
-    return order, pos, tuple(skeleton), tuple(ant), tuple(comps)
+def _marriages(t: _Masks, area: int) -> list:
+    """Moral adjacency of an anterior area: the skeleton plus the marriages
+    of the components inside it (the area is closed under parents)."""
+    moral = list(t.adj)
+    for members, pairs in t.comps:
+        if members & area == members:
+            for k, others in pairs:
+                moral[k] |= others
+    return moral
 
 
-def _mask(pos, xs) -> int:
-    m = 0
-    for v in xs:
-        m |= 1 << pos[v]
-    return m
-
-
-def _moral_reach(static, area: int, blocked: int, sources: int) -> int:
-    """Reachable set in the moral graph of the area, walking around blocked nodes."""
-    order, _, skeleton, _, comps = static
-    marry = {}
-    for members, pa in comps:
-        if members & area == members and pa:
-            rest = pa
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                marry[bit] = marry.get(bit, 0) | (pa ^ bit)
-    allowed = area & ~blocked
-    frontier = sources & allowed
-    reach = frontier
+def _moral_reach(moral: list, allowed: int, sources: int) -> int:
+    """Reachable set from the sources in the moral graph, within allowed."""
+    frontier = reach = sources & allowed
     while frontier:
         bit = frontier & -frontier
         frontier ^= bit
-        v = bit.bit_length() - 1
-        nbrs = (skeleton[v] | marry.get(bit, 0)) & allowed & ~reach
+        nbrs = moral[bit.bit_length() - 1] & allowed & ~reach
         reach |= nbrs
         frontier |= nbrs
     return reach
@@ -349,60 +348,41 @@ def _moral_reach(static, area: int, blocked: int, sources: int) -> int:
 
 def lwf_separated(g: ChainGraph, q: SeparationQuery) -> bool:
     """LWF separation with determinism via anterior restriction and moralization."""
-    _check_query(g, q)
-    dz = determined_set(q.table, q.z)
-    static = _lwf_static(g)
-    _, pos, _, ant, _ = static
-    sources = _mask(pos, q.x - dz)
-    targets = _mask(pos, q.y - dz)
+    t, dm, sources, targets = _query_masks(g, q)
     if not sources or not targets:
         return True
-    area = 0
-    for v in q.x | q.y | dz:
-        area |= ant[pos[v]]
-    blocked = _mask(pos, dz)
-    return not (_moral_reach(static, area, blocked, sources) & targets)
+    area = _union(t.ant, sources | targets | dm)
+    return not _moral_reach(_marriages(t, area), area & ~dm, sources) & targets
 
 
 def lwf_witness(g: ChainGraph, q: SeparationQuery):
-    """A connecting path in the restricted moral graph, or None if separated."""
-    _check_query(g, q)
-    dz = determined_set(q.table, q.z)
-    static = _lwf_static(g)
-    order, pos, skeleton, ant, comps = static
-    srcs = sorted(q.x - dz)
-    targets = q.y - dz
-    if not srcs or not targets:
+    """A connecting path in the restricted moral graph, or None if separated.
+
+    Breadth-first from the x nodes in name order, each node taking its
+    neighbours in name order; the path to the first y node reached.
+    """
+    t, dm, sources, targets = _query_masks(g, q)
+    if not sources or not targets:
         return None
-    area = 0
-    for v in q.x | q.y | dz:
-        area |= ant[pos[v]]
-    marry = {}
-    for members, pa in comps:
-        if members & area == members and pa:
-            rest = pa
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                marry[bit] = marry.get(bit, 0) | (pa ^ bit)
-    allowed = area & ~_mask(pos, dz)
-    came = {v: None for v in srcs if allowed >> pos[v] & 1}
-    queue = list(came)
-    for v in queue:
-        bit = 1 << pos[v]
-        nbrs = (skeleton[pos[v]] | marry.get(bit, 0)) & allowed
+    area = _union(t.ant, sources | targets | dm)
+    moral = _marriages(t, area)
+    allowed = area & ~dm
+    queue = [k for k in range(len(t.order)) if sources >> k & 1]
+    came = dict.fromkeys(queue)
+    seen = sources
+    for k in queue:
+        nbrs = moral[k] & allowed & ~seen
+        seen |= nbrs
         while nbrs:
-            b = nbrs & -nbrs
-            nbrs ^= b
-            w = order[b.bit_length() - 1]
-            if w in came:
-                continue
-            came[w] = v
-            if w in targets:
+            bit = nbrs & -nbrs
+            nbrs ^= bit
+            w = bit.bit_length() - 1
+            came[w] = k
+            if bit & targets:
                 path = [w]
                 while came[path[-1]] is not None:
                     path.append(came[path[-1]])
-                return list(reversed(path))
+                return [t.order[p] for p in reversed(path)]
             queue.append(w)
     return None
 
@@ -473,37 +453,54 @@ def separated(g: ChainGraph, q: SeparationQuery) -> bool:
 # through the same cores as the public engines.
 
 def amp_connectivity(g: ChainGraph, dz: frozenset, order) -> list:
-    """For each node in order, the bitmask of order members it stays connected to."""
-    bit = {v: i for i, v in enumerate(order)}
-    rows = []
-    for x in order:
-        if x in dz:
-            rows.append(0)
+    """For each node in order, the bitmask of order members it stays connected to.
+
+    Connectivity is symmetric: a search fills both rows of each pair it finds.
+    """
+    t = _masks(g)
+    dm = _mask(t.pos, dz)
+    # graph bit -> position in order
+    index = {1 << t.pos[v]: i for i, v in enumerate(order)}
+    rest = _mask(t.pos, order) & ~dm
+    rows = [0] * len(order)
+    for gbit, i in index.items():
+        if not gbit & rest:
             continue
-        m = 0
-        for w in _amp_reach(g, dz, (x,)):
-            i = bit.get(w)
-            if i is not None and w not in dz:
-                m |= 1 << i
-        rows.append(m & ~(1 << bit[x]))
+        rest ^= gbit
+        reach = _amp_search(t, dm, gbit) & rest if rest else 0
+        while reach:
+            bit = reach & -reach
+            reach ^= bit
+            j = index[bit]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
     return rows
 
 
 def lwf_connectivity(g: ChainGraph, dz: frozenset, order) -> list:
-    """Pairwise LWF connectivity via per-pair anterior moralization."""
-    static = _lwf_static(g)
-    _, pos, _, ant, _ = static
-    ant_dz = 0
-    for v in dz:
-        ant_dz |= ant[pos[v]]
-    blocked = _mask(pos, dz)
+    """Pairwise LWF connectivity, one set of moral components per anterior area."""
+    t = _masks(g)
+    dm = _mask(t.pos, dz)
+    ant_dz = _union(t.ant, dm)
+    bits = [1 << t.pos[v] for v in order]
+    ants = [t.ant[t.pos[v]] | ant_dz for v in order]
+    by_area: dict = {}  # area -> (moral adjacency, its components labelled so far)
     rows = [0] * len(order)
     for i, j in combinations(range(len(order)), 2):
-        x, y = order[i], order[j]
-        if x in dz or y in dz:
+        x, y = bits[i], bits[j]
+        if (x | y) & dm:
             continue
-        area = ant[pos[x]] | ant[pos[y]] | ant_dz
-        if _moral_reach(static, area, blocked, 1 << pos[x]) >> pos[y] & 1:
+        area = ants[i] | ants[j]
+        if area not in by_area:
+            by_area[area] = (_marriages(t, area), [])
+        moral, labelled = by_area[area]
+        for comp in labelled:
+            if comp & x:
+                break
+        else:
+            comp = _moral_reach(moral, area & ~dm, x)
+            labelled.append(comp)
+        if comp & y:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     return rows

@@ -1,7 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cgkit.cli
 from cgkit.cli import run
 from cgkit.fileformat import parse, serialize
 from cgkit.models import MAX_GEN_NODES, IndependenceModel
@@ -75,6 +79,28 @@ def test_separate_trace(capsys):
     )
     assert code == 0
     assert "every route between x and y is blocked" in out
+
+
+def test_separate_amp_trace_does_not_depend_on_the_hash_seed(capsys, tmp_path):
+    # several shortest open routes join A and H here; the one printed must
+    # not depend on set iteration order
+    _, text, _ = _run(capsys, "gen", "--nodes", "8", "--seed", "11")
+    (tmp_path / "g.cg").write_text(text)
+    _, text, _ = _run(capsys, "to-eamp", str(tmp_path / "g.cg"))
+    (tmp_path / "e.cg").write_text(text)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cgkit.cli", "separate", str(tmp_path / "e.cg"),
+             "--semantics", "amp", "--x", "A", "--y", "H", "--z", "C", "--trace"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        outs.append(proc.stdout)
+    assert "# open route: " in outs[0]
+    assert outs[0] == outs[1]
 
 
 def test_separate_lwf_on_gprime_with_rules(capsys):
@@ -224,6 +250,21 @@ def test_equiv_small_graph_all_theorems(capsys, tmp_path, theorem):
     code, out, _ = _run(capsys, "equiv", str(f), "--theorem", theorem)
     assert code == 0, out
     assert out == "pass\n"
+
+
+def test_equiv_theorem4_enumerates_the_augmented_model_once(capsys, monkeypatch):
+    calls = []
+    enumerate_model = cgkit.cli.enumerate_model
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return enumerate_model(*args, **kwargs)
+
+    monkeypatch.setattr(cgkit.cli, "enumerate_model", counting)
+    code, out, _ = _run(capsys, "equiv", f"{DATA}/demo_g.cg", "--theorem", "4", "--seed", "0")
+    assert (code, out) == (0, "pass\n")
+    # the augmented model once, then one marginalized graph per draw
+    assert len(calls) == 4
 
 
 def test_equiv_refuses_rule_files(capsys):

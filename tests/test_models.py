@@ -303,6 +303,26 @@ def test_loads_rejects_dump_not_closed():
     assert closed.has({"A", "B"}, {"C"}) and len(closed) == 3
 
 
+@pytest.mark.parametrize("rows, problem", [
+    ([(0b10, 0), (0, 0), (0, 0), (0, 0)], "not symmetric"),
+    ([(0b01, 0), (0, 0), (0, 0), (0, 0)], "not a mask of other nodes"),
+    ([(0b100, 0), (0, 0), (0, 0), (0, 0)], "not a mask of other nodes"),
+    ([(0, 0), (0b10, 0b01), (0, 0), (0, 0)], "not empty on it"),
+    # a table already accepted at an earlier conditioning set
+    ([(0b10, 0b01), (0b10, 0b01), (0, 0), (0, 0)], "not empty on it"),
+])
+def test_model_rows_are_checked(rows, problem):
+    with pytest.raises(ValueError, match=problem):
+        IndependenceModel("AB", rows)
+
+
+def test_valid_model_rows_are_accepted():
+    assert len(IndependenceModel("AB", [(0, 0)] * 4)) == 1
+    assert len(IndependenceModel("AB", [(0b10, 0b01), (0, 0), (0, 0), (0, 0)])) == 0
+    m = enumerate_model(demo_graph(), EMPTY, AMP)
+    assert IndependenceModel(m.universe, m.rows) == m
+
+
 def test_loads_accepts_any_line_order_and_orientation():
     m = enumerate_model(demo_graph(), EMPTY, LWF)
     head, *body = m.dumps().splitlines()

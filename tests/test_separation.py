@@ -14,11 +14,13 @@ from cgkit.separation import (
     AMP,
     LWF,
     SeparationQuery,
+    amp_connectivity,
     amp_separated,
     amp_separated_oracle,
     amp_witness,
     determined_query_nodes,
     effective_conditioning,
+    lwf_connectivity,
     lwf_route_oracle,
     lwf_separated,
     lwf_witness,
@@ -147,6 +149,38 @@ def test_witness_agrees_with_engine_on_demo():
         assert (amp_witness(g, qq) is None) == amp_separated(g, qq)
 
 
+def _assert_open_route(g, route, x, y, dz):
+    """The literal AMP criterion, checked on the route itself."""
+    nodes = [v for v, _ in route]
+    assert nodes[0] in x - dz and nodes[-1] in y - dz and route[-1][1] is None
+    for (v, link), (w, _) in zip(route, route[1:]):
+        edge = {"->": (v, w) in g.directed, "<-": (w, v) in g.directed,
+                "--": tuple(sorted((v, w))) in g.undirected}
+        assert edge[link], (v, link, w)
+    for (_, left), (b, right) in zip(route, route[1:-1]):
+        triplex = (left == "->" and right in ("<-", "--")) or (left == "--" and right == "<-")
+        assert triplex == (b in dz), (route, b)
+
+
+@given(st.integers(2, 7), st.integers(0, 10**6))
+@settings(max_examples=150)
+def test_amp_witness_is_an_open_route_whatever_the_input_order(n, seed):
+    g, table = _random_graph_and_table(n, seed)
+    rnd = random.Random(seed ^ 0x5EED)
+    shuffled = list(g.nodes)
+    rnd.shuffle(shuffled)
+    g2 = ChainGraph({v: g.kind(v) for v in shuffled},
+                    sorted(g.directed, reverse=True), sorted(g.undirected, reverse=True))
+    for _ in range(10):
+        x, y, z = _random_triple(sorted(g.nodes), rnd)
+        qq = q(x, y, z, AMP, table)
+        route = amp_witness(g, qq)
+        assert (route is None) == amp_separated(g, qq)
+        assert amp_witness(g2, qq) == route
+        if route is not None:
+            _assert_open_route(g, route, x, y, determined_set(table, z))
+
+
 # --- guards ----------------------------------------------------------------
 
 
@@ -210,6 +244,39 @@ def test_engines_match_oracles_with_random_tables(n, seed):
         ql = q(x, y, z, LWF, table)
         assert amp_separated(g, qa) == amp_separated_oracle(g, qa)
         assert lwf_separated(g, ql) == lwf_route_oracle(g, ql)
+
+
+def _assert_rows_match_oracles(g, table, universe, cond=()):
+    order = sorted(universe)
+    n = len(order)
+    for connectivity, oracle, sem in (
+        (amp_connectivity, amp_separated_oracle, AMP),
+        (lwf_connectivity, lwf_route_oracle, LWF),
+    ):
+        for zm in range(1 << n):
+            z = {order[k] for k in range(n) if zm >> k & 1} | set(cond)
+            rows = connectivity(g, determined_set(table, z), order)
+            for i, j in itertools.combinations(range(n), 2):
+                if (zm >> i | zm >> j) & 1:
+                    continue
+                want = not oracle(g, q({order[i]}, {order[j]}, z, sem, table))
+                assert (rows[i] >> j & 1, rows[j] >> i & 1) == (want, want), (
+                    sem, order[i], order[j], sorted(z))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_connectivity_rows_match_oracles(seed):
+    ep = to_eamp(random_cg(4, (0.3, 0.5, 0.65, 0.8)[seed % 4], 40 + seed))
+    g = ep.graph
+    _assert_rows_match_oracles(g, ep.table, g.nodes)
+    # a proper sub-universe: one variable conditioned on, one error node left out
+    first, last = g.variables[0], g.error_nodes[-1]
+    rest = set(g.nodes) - {first, last}
+    _assert_rows_match_oracles(g, ep.table, rest, (first,))
+    # augmented graphs draw lines only between parentless error nodes, so
+    # the triplex visits -b<- and ->b- need a graph that is not augmented
+    g, table = _random_graph_and_table(5, seed)
+    _assert_rows_match_oracles(g, table, g.nodes)
 
 
 @given(st.integers(2, 7), st.integers(0, 10**6))
@@ -293,7 +360,7 @@ def test_per_graph_tables_die_with_their_graph():
     g = demo_graph()
     for fn in (amp_separated, amp_separated_oracle, lwf_separated):
         fn(g, q({"C"}, {"B"}, {"A"}, AMP if fn is not lwf_separated else LWF))
-    assert g._amp_moves is not None and g._all_neighbors is not None and g._lwf_static is not None
+    assert g._masks is not None and g._all_neighbors is not None
     ref = weakref.ref(g)
     del g
     gc.collect()
