@@ -12,16 +12,6 @@ from .errors import (
     StructureError,
 )
 from .fileformat import parse, serialize
-from .gaussian import (
-    ComponentBlock,
-    GaussianSystem,
-    MarkovReport,
-    joint_covariance,
-    joint_covariance_oracle,
-    markov_check,
-    partial_correlation,
-    sample_system,
-)
 from .graph import (
     ERROR,
     SELECTION,
@@ -61,3 +51,28 @@ from .separation import (
 from .transforms import EampGraph, eamp_from_graph, marginalize_eamp, to_eamp, to_selection_dag
 
 __version__ = "0.1.0"
+
+# The Gaussian layer is the only one that needs numpy; it loads on first use,
+# so the graph-to-graph commands start without it.
+_GAUSSIAN = (
+    "ComponentBlock",
+    "GaussianSystem",
+    "MarkovReport",
+    "joint_covariance",
+    "joint_covariance_oracle",
+    "markov_check",
+    "partial_correlation",
+    "sample_system",
+)
+
+
+def __getattr__(name):
+    if name in _GAUSSIAN:
+        from . import gaussian
+
+        return getattr(gaussian, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_GAUSSIAN))

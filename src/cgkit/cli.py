@@ -12,12 +12,9 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import fileformat
 from .determinism import DeterminationTable, determined_set
 from .errors import GuardError, NumericError, ParseError, QueryError, StructureError
-from .gaussian import markov_check, sample_system
 from .graph import ERROR, VARIABLE, ChainGraph, validate
 from .models import (
     IndependenceModel,
@@ -234,6 +231,8 @@ def _theorem_sides(g: ChainGraph, which: str, seed: int):
                   dag, LWF, ep.table, sel),
         )]
     if which == "4":
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         names = sorted(g.nodes)
         if len(names) < 2:
@@ -298,6 +297,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_gauss_check(args) -> int:
+    from .gaussian import markov_check, sample_system
+
     g, table = fileformat.parse(_read(args.file))
     _require_plain(g, table, "gauss-check")
     _require_valid(g)

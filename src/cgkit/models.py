@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from .determinism import DeterminationTable, determined_set
 from .errors import GuardError
 from .graph import VARIABLE, ChainGraph
@@ -341,11 +339,17 @@ def enumerate_model(
     else:
         raise ValueError(f"unknown semantics {semantics!r}")
 
+    # D is a closure operator, so D(z) is the closure of D(z minus its top
+    # node) plus that node, and needs no work when the node is already in it
+    dzs = [determined_set(table, cond)]
+    for zmask in range(1, 1 << n):
+        top = zmask.bit_length() - 1
+        below = dzs[zmask ^ 1 << top]
+        v = order[top]
+        dzs.append(below if v in below else determined_set(table, below | {v}))
     by_dz: dict = {}
     rows = []
-    for zmask in range(1 << n):
-        z = frozenset(order[i] for i in range(n) if zmask >> i & 1) | cond
-        dz = determined_set(table, z)
+    for dz in dzs:
         if dz not in by_dz:
             by_dz[dz] = tuple(connectivity(g, dz, order))
         rows.append(by_dz[dz])
@@ -419,6 +423,8 @@ def random_cg(n: int, edge_density: float, seed: int) -> ChainGraph:
         raise GuardError(f"{n} nodes requested; guard allows {MAX_GEN_NODES} nodes")
     if not 0.0 <= edge_density <= 1.0:
         raise ValueError("edge_density must be in [0, 1]")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     names = [chr(65 + i) for i in range(n)] if n <= 26 else [f"N{i:03d}" for i in range(n)]
     order = [str(v) for v in rng.permutation(names)]

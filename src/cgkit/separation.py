@@ -56,7 +56,8 @@ _LINKS = ("->", "--", "<-")
 class SeparationQuery:
     """A separation question: are x and y separated given z?"""
 
-    __slots__ = ("x", "y", "z", "semantics", "table")
+    # _dz holds (z, table, D(Z)) once effective_conditioning has run
+    __slots__ = ("x", "y", "z", "semantics", "table", "_dz")
 
     def __init__(self, x, y, z=(), semantics: str = AMP,
                  table: Optional[DeterminationTable] = None):
@@ -67,6 +68,7 @@ class SeparationQuery:
         self.z = frozenset(z)
         self.semantics = semantics
         self.table = table if table is not None else DeterminationTable()
+        self._dz = None
 
     def __repr__(self):
         def s(xs):
@@ -85,8 +87,14 @@ def _check_query(g: ChainGraph, q: SeparationQuery) -> None:
 
 
 def effective_conditioning(q: SeparationQuery) -> frozenset:
-    """The set that conditioning on q.z effectively conditions on."""
-    return determined_set(q.table, q.z)
+    """The set that conditioning on q.z effectively conditions on.
+
+    Computed once per query; a reassigned q.z or q.table is computed afresh.
+    """
+    memo = q._dz
+    if memo is None or memo[0] is not q.z or memo[1] is not q.table:
+        memo = q._dz = (q.z, q.table, determined_set(q.table, q.z))
+    return memo[2]
 
 
 def determined_query_nodes(q: SeparationQuery) -> frozenset:
@@ -211,7 +219,7 @@ def _query_masks(g: ChainGraph, q: SeparationQuery):
     """The graph's tables, D(Z) as a mask, and the x and y nodes outside it."""
     _check_query(g, q)
     t = _masks(g)
-    dm = _mask(t.pos, determined_set(q.table, q.z))
+    dm = _mask(t.pos, effective_conditioning(q))
     return t, dm, _mask(t.pos, q.x) & ~dm, _mask(t.pos, q.y) & ~dm
 
 

@@ -9,16 +9,14 @@ can be marginalized back out one variable at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .determinism import DeterminationTable, eamp_rules
 from .errors import StructureError
 from .graph import ERROR, SELECTION, VARIABLE, ChainGraph, error_name, selection_name, validate
 
 
-@dataclass(frozen=True)
-class EampGraph:
+class EampGraph(NamedTuple):
     """An error-augmented chain graph with its determination table."""
 
     graph: ChainGraph

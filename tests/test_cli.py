@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 import cgkit.cli
+import cgkit.separation
 from cgkit.cli import run
 from cgkit.fileformat import parse, serialize
 from cgkit.models import MAX_GEN_NODES, IndependenceModel
@@ -14,6 +16,7 @@ from _corpus import demo_graph
 
 
 DATA = "tests/data"
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def _golden_text(name):
@@ -88,10 +91,9 @@ def test_separate_amp_trace_does_not_depend_on_the_hash_seed(capsys, tmp_path):
     (tmp_path / "g.cg").write_text(text)
     _, text, _ = _run(capsys, "to-eamp", str(tmp_path / "g.cg"))
     (tmp_path / "e.cg").write_text(text)
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     outs = []
     for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
         proc = subprocess.run(
             [sys.executable, "-m", "cgkit.cli", "separate", str(tmp_path / "e.cg"),
              "--semantics", "amp", "--x", "A", "--y", "H", "--z", "C", "--trace"],
@@ -101,6 +103,25 @@ def test_separate_amp_trace_does_not_depend_on_the_hash_seed(capsys, tmp_path):
         outs.append(proc.stdout)
     assert "# open route: " in outs[0]
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("separate", f"{DATA}/demo_g.cg", "--semantics", "amp", "--x", "C", "--y", "B"),
+    ("separate", f"{DATA}/demo_eamp.cg", "--semantics", "lwf", "--x", "C", "--y", "F", "--z", "A"),
+])
+def test_separate_trace_computes_dz_once(capsys, monkeypatch, argv):
+    # the verdict, the D(Z) line, the endpoint note and the witness share one closure
+    calls = []
+    determined_set = cgkit.separation.determined_set
+
+    def counting(table, z):
+        calls.append(z)
+        return determined_set(table, z)
+
+    monkeypatch.setattr(cgkit.separation, "determined_set", counting)
+    code, out, _ = _run(capsys, *argv, "--trace")
+    assert code == 1 and "# open " in out
+    assert len(calls) == 1
 
 
 def test_separate_lwf_on_gprime_with_rules(capsys):
@@ -350,3 +371,67 @@ def test_gen_guard_refuses_large(capsys):
     code, out, err = _run(capsys, "gen", "--nodes", str(MAX_GEN_NODES + 1))
     assert (code, out) == (3, "")
     assert err.startswith("cgkit: guard:")
+
+
+# --- numpy stays out of the graph commands -------------------------------------------
+
+
+def _fresh_python(code, *args):
+    """Run code in a new interpreter with cgkit importable; its stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_NO_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import cgkit.cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cgkit.cli.run(argv)
+    out.append([code, buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_graph_commands_run_without_numpy(capsys, tmp_path):
+    _, dump, _ = _run(capsys, "model", f"{DATA}/demo_g.cg", "--semantics", "lwf")
+    (tmp_path / "m.txt").write_text(dump)
+    commands = [
+        ["validate", f"{DATA}/demo_g.cg"],
+        ["separate", f"{DATA}/demo_g.cg", "--semantics", "amp", "--x", "C", "--y", "B", "--trace"],
+        ["separate", f"{DATA}/demo_eamp.cg", "--semantics", "lwf",
+         "--x", "C", "--y", "F", "--z", "A", "--trace"],
+        ["determine", f"{DATA}/demo_eamp.cg", "--z", "A,B,D"],
+        ["to-eamp", f"{DATA}/demo_g.cg"],
+        ["to-dag", f"{DATA}/demo_eamp.cg"],
+        ["marginalize", f"{DATA}/demo_eamp.cg", "--drop", "A,B,F"],
+        ["model", f"{DATA}/demo_eamp.cg", "--semantics", "amp", "--universe", "A,B,C,eps(A),eps(B)"],
+        ["project", str(tmp_path / "m.txt"), "--l", "A", "--s", "B"],
+        ["equiv", f"{DATA}/demo_g.cg", "--theorem", "1"],
+    ]
+    got = json.loads(_fresh_python(_NO_NUMPY, json.dumps(commands)))
+    want = [list(_run(capsys, *argv)[:2]) for argv in commands]
+    assert got == want
+    assert [code for code, _ in got] == [0, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+    assert got[4][1] == _golden_text("demo_eamp.cg")
+    assert got[5][1] == _golden_text("demo_seldag.cg")
+    assert got[6][1] == _golden_text("demo_eamp_margABF.cg")
+
+
+def test_package_loads_the_gaussian_layer_on_first_use():
+    out = _fresh_python(
+        "import sys, cgkit\n"
+        "print('numpy' in sys.modules)\n"
+        "print('markov_check' in dir(cgkit))\n"
+        "from cgkit import GaussianSystem\n"
+        "print(cgkit.sample_system.__module__, GaussianSystem.__module__)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert out.split() == ["False", "True", "cgkit.gaussian", "cgkit.gaussian", "True"]

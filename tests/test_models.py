@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgkit.determinism import DeterminationTable
+from cgkit.determinism import DeterminationTable, determined_set
 from cgkit.errors import GuardError
 from cgkit.fileformat import parse, serialize
 from cgkit.graph import ChainGraph, validate
@@ -18,7 +18,14 @@ from cgkit.models import (
     random_cg,
     triple_count,
 )
-from cgkit.separation import AMP, LWF, SeparationQuery, separated
+from cgkit.separation import (
+    AMP,
+    LWF,
+    SeparationQuery,
+    amp_connectivity,
+    lwf_connectivity,
+    separated,
+)
 from cgkit.transforms import to_eamp
 
 from _corpus import canonical_triples, demo_graph, exhaustive_3node
@@ -240,6 +247,26 @@ def test_bulk_matches_engine_with_tables(seed):
     for x, y, z in triples[:60]:
         want = separated(ep.graph, SeparationQuery(x, y, z, sem, ep.table))
         assert m.has(x, y, z) == want
+
+
+@pytest.mark.parametrize("sem", [AMP, LWF])
+def test_rows_follow_the_closure_of_each_conditioning_set(sem):
+    # random rules chain, so D(z) can take several firings; condition_on
+    # joins every z and can fire rules on its own
+    rnd = random.Random(5)
+    connectivity = amp_connectivity if sem == AMP else lwf_connectivity
+    for seed in range(8):
+        g = random_cg(6, 0.5, seed)
+        names = sorted(g.nodes)
+        table = DeterminationTable(
+            (rnd.sample([v for v in names if v != t], rnd.randint(1, 2)), t)
+            for t in rnd.sample(names, 4)
+        )
+        order, cond = names[:5], {names[5]}
+        m = enumerate_model(g, table, sem, order, condition_on=cond)
+        for zm in range(1 << len(order)):
+            z = {v for i, v in enumerate(order) if zm >> i & 1} | cond
+            assert m.rows[zm] == tuple(connectivity(g, determined_set(table, z), order)), (seed, zm)
 
 
 # --- the row-table representation -------------------------------------------

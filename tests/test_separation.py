@@ -101,6 +101,11 @@ def test_effective_conditioning_demo_gprime():
     assert effective_conditioning(qq2) == {"C", "E", "eps(E)"}
     qq3 = q({"A"}, {"F"}, {"C"}, AMP, ep.table)
     assert effective_conditioning(qq3) == {"C"}
+    # the closure is kept per query, but a reassigned z or table is closed afresh
+    qq3.z = frozenset({"C", "E"})
+    assert effective_conditioning(qq3) == {"C", "E", "eps(E)"}
+    qq3.table = DeterminationTable()
+    assert effective_conditioning(qq3) == {"C", "E"}
 
 
 def test_determined_query_nodes_flagged_and_blocked():
