@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .determinism import DeterminationTable
 from .errors import ParseError
-from .graph import NODE_KINDS, VARIABLE, ChainGraph
+from .graph import NODE_KINDS, VARIABLE, ChainGraph, name_problem
 
 HEADER = "cgfile 1"
 
@@ -59,6 +59,10 @@ def parse(text: str):
         name = toks[1]
         if name in _RESERVED:
             problems.append((ln, f"reserved token {name!r} cannot be a node name"))
+            continue
+        problem = name_problem(name)
+        if problem:
+            problems.append((ln, f"bad node name {name!r}: {problem}"))
             continue
         kind = toks[2] if len(toks) == 3 else VARIABLE
         if kind not in NODE_KINDS:

@@ -35,14 +35,42 @@ def selection_name(a: str, b: str) -> str:
     return f"sel({lo},{hi})"
 
 
+def name_problem(name) -> str | None:
+    """Why name cannot be a node name, or None if it can.
+
+    A name must read back the same from a graph file, a model dump line
+    (x | y | z, each a comma-separated list or "-") and a CLI name list, so
+    it is a nonempty string without whitespace, does not start with "#"
+    (a comment), is not "-" (the empty list), and keeps "," and "|" inside
+    balanced parentheses, as in sel(eps(A),eps(B)).
+    """
+    if not isinstance(name, str) or not name or any(c.isspace() for c in name):
+        return "names are nonempty strings without whitespace"
+    if name[0] == "#":
+        return "a leading '#' starts a comment"
+    if name == "-":
+        return "'-' stands for the empty list"
+    depth = 0
+    for c in name:
+        depth += (c == "(") - (c == ")")
+        if depth < 0:
+            break
+        if c in ",|" and not depth:
+            return f"{c!r} outside parentheses separates names"
+    if depth:
+        return "unbalanced parentheses"
+    return None
+
+
 def _freeze_nodes(nodes) -> dict:
     if isinstance(nodes, Mapping):
         items = dict(nodes)
     else:
         items = {name: VARIABLE for name in nodes}
     for name, kind in items.items():
-        if not isinstance(name, str) or not name or any(c.isspace() for c in name):
-            raise ValueError(f"bad node name: {name!r}")
+        problem = name_problem(name)
+        if problem:
+            raise ValueError(f"bad node name {name!r}: {problem}")
         if kind not in NODE_KINDS:
             raise ValueError(f"bad node kind for {name}: {kind!r}")
     return items

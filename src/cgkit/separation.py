@@ -9,31 +9,31 @@ triplex depends only on the mark the route entered the node by and the edge
 it leaves along, so the engine is one level-synchronous search over three
 frontier bitmasks, one per entry mark (head, line, tail): each level ORs
 the child, neighbour or parent masks of the frontier nodes the marks and dz
-let through.  The verdict, the bulk connectivity rows and the witness all
-run it; the witness keeps the frontiers of every level and rebuilds a
-shortest route backwards from them.  The oracle enumerates simple paths
-and applies the path criterion, where a triplex node may also sit in
-strict_ascendants(dz) and a determined -b- node stays passable while some
-parent of b is outside dz.
+let through.  The bulk connectivity rows run it once per source.  A query
+runs it once, keeping every level's frontiers to rebuild a shortest route
+backwards, its witness; no route is its verdict.  The oracle enumerates
+simple paths and applies the path criterion, where a triplex node may also
+sit in strict_ascendants(dz) and a determined -b- node stays passable while
+some parent of b is outside dz.
 
 LWF: a route is open when every collider section (maximal undirected
 stretch entered by arrowheads at both ends) meets dz and no other section
 does.  The engine uses the classical equivalent: restrict to the anterior
-set of x∪y∪dz, moralize, and test undirected separation by dz.  The
-marriages of each chain component are precomputed per graph; a search
-applies those of the components inside its area.  The bulk rows memoize by
-area, since pairs with the same anterior area share one moral graph, and
-label each of its components with one reach.  The oracle expands routes
-level by level under the section criterion.
+set of x∪y∪dz, moralize, and test undirected separation by dz.  Each node
+lists the marriages of the chain components it is a parent of, and a search
+ORs in those inside its area only when it expands the node.  A query's
+breadth-first search stops at the first y node: its path is the witness.
+The bulk rows label each moral component of an anterior area with one
+reach.  The oracle expands routes level by level under the section criterion.
 
 Both semantics treat a query node inside dz like any other determined
 node: conditioning effectively swallows it, so no open route starts or
-ends there.
+ends there.  A query keeps its one search, so its verdict and witness
+come from the same run.
 """
 
 from __future__ import annotations
 
-from functools import wraps
 from itertools import combinations
 from typing import Optional
 
@@ -56,8 +56,8 @@ _LINKS = ("->", "--", "<-")
 class SeparationQuery:
     """A separation question: are x and y separated given z?"""
 
-    # _dz holds (z, table, D(Z)) once effective_conditioning has run
-    __slots__ = ("x", "y", "z", "semantics", "table", "_dz")
+    # memos: _dz of effective_conditioning, _route of _searched
+    __slots__ = ("x", "y", "z", "semantics", "table", "_dz", "_route")
 
     def __init__(self, x, y, z=(), semantics: str = AMP,
                  table: Optional[DeterminationTable] = None):
@@ -68,7 +68,7 @@ class SeparationQuery:
         self.z = frozenset(z)
         self.semantics = semantics
         self.table = table if table is not None else DeterminationTable()
-        self._dz = None
+        self._dz = self._route = None
 
     def __repr__(self):
         def s(xs):
@@ -81,9 +81,9 @@ def _check_query(g: ChainGraph, q: SeparationQuery) -> None:
         raise QueryError("x and y must be nonempty")
     if q.x & q.y or q.x & q.z or q.y & q.z:
         raise QueryError("x, y, z must be pairwise disjoint")
-    unknown = (q.x | q.y | q.z) - g.nodes.keys()
-    if unknown:
-        raise QueryError(f"unknown nodes: {', '.join(sorted(unknown))}")
+    names = q.x | q.y | q.z
+    if not names <= g.nodes.keys():
+        raise QueryError(f"unknown nodes: {', '.join(sorted(names - g.nodes.keys()))}")
 
 
 def effective_conditioning(q: SeparationQuery) -> frozenset:
@@ -102,21 +102,6 @@ def determined_query_nodes(q: SeparationQuery) -> frozenset:
     return (q.x | q.y) & effective_conditioning(q)
 
 
-def _per_graph(build):
-    """Cache build(g) in the graph's slot of the same name, so it dies with g."""
-    slot = build.__name__
-
-    @wraps(build)
-    def get(g: ChainGraph):
-        table = getattr(g, slot)
-        if table is None:
-            table = build(g)
-            setattr(g, slot, table)
-        return table
-
-    return get
-
-
 # ---------------------------------------------------------------------------
 # Per-graph bitmask tables shared by both engines
 
@@ -127,11 +112,11 @@ class _Masks:
     ch, pa and ne hold each node's children, parents and undirected
     neighbours, adj their union, and ant its anterior set: the node plus
     every node with a route into it that never leaves against an arrow.
-    comps lists the chain components with at least two outside parents as
-    (members, marriages), a marriage being (parent position, the other parents).
+    wed lists, per node, the chain components with at least two outside
+    parents that it is a parent of, as (members, the other parents).
     """
 
-    __slots__ = ("order", "pos", "ch", "pa", "ne", "adj", "ant", "comps")
+    __slots__ = ("order", "pos", "ch", "pa", "ne", "adj", "ant", "wed")
 
 
 def _mask(pos, xs) -> int:
@@ -151,8 +136,10 @@ def _union(masks, bits: int) -> int:
     return out
 
 
-@_per_graph
 def _masks(g: ChainGraph) -> _Masks:
+    """The graph's tables, kept in its slot of the same name so they die with it."""
+    if g._masks is not None:
+        return g._masks
     t = _Masks()
     t.order = order = tuple(sorted(g.nodes))
     t.pos = pos = {v: i for i, v in enumerate(order)}
@@ -169,14 +156,16 @@ def _masks(g: ChainGraph) -> _Masks:
             reach |= frontier
         ant.append(reach)
     t.ant = tuple(ant)
-    comps = []
+    wed = [()] * len(order)
     for part in components(g):
         members = _mask(pos, part)
         outside = _union(pa, members) & ~members
         if outside & (outside - 1):
-            comps.append((members, tuple(
-                (k, outside & ~(1 << k)) for k in range(len(order)) if outside >> k & 1)))
-    t.comps = tuple(comps)
+            for k in range(len(order)):
+                if outside >> k & 1:
+                    wed[k] += ((members, outside & ~(1 << k)),)
+    t.wed = tuple(wed)
+    g._masks = t
     return t
 
 
@@ -223,12 +212,23 @@ def _query_masks(g: ChainGraph, q: SeparationQuery):
     return t, dm, _mask(t.pos, q.x) & ~dm, _mask(t.pos, q.y) & ~dm
 
 
+def _searched(g: ChainGraph, q: SeparationQuery, search):
+    """The route search(t, dm, sources, targets) finds for q, or None, kept on q
+    while its x, y, z and table, g's tables and the search stay the same
+    objects.  The memo holds the tables, never g, so g can still be freed."""
+    t = _masks(g)
+    memo = q._route
+    if (memo is None or memo[0] is not search or memo[1] is not t or memo[2] is not q.x
+            or memo[3] is not q.y or memo[4] is not q.z or memo[5] is not q.table):
+        t, dm, sources, targets = _query_masks(g, q)
+        route = search(t, dm, sources, targets) if sources and targets else None
+        memo = q._route = (search, t, q.x, q.y, q.z, q.table, route)
+    return memo[6]
+
+
 def amp_separated(g: ChainGraph, q: SeparationQuery) -> bool:
-    """AMP separation with determinism, decided by the entry-mark search."""
-    t, dm, sources, targets = _query_masks(g, q)
-    if not sources or not targets:
-        return True
-    return not _amp_search(t, dm, sources, targets) & targets
+    """AMP separation with determinism: no open route from the entry-mark search."""
+    return _searched(g, q, _amp_route) is None
 
 
 def amp_witness(g: ChainGraph, q: SeparationQuery):
@@ -238,9 +238,11 @@ def amp_witness(g: ChainGraph, q: SeparationQuery):
     "--".  Among shortest routes, the one ending at the lowest node of y is
     rebuilt backwards, at each step taking the lowest predecessor.
     """
-    t, dm, sources, targets = _query_masks(g, q)
-    if not sources or not targets:
-        return None
+    route = _searched(g, q, _amp_route)
+    return None if route is None else list(route)
+
+
+def _amp_route(t: _Masks, dm: int, sources: int, targets: int):
     levels: list = []
     if not _amp_search(t, dm, sources, targets, levels) & targets:
         return None
@@ -267,12 +269,12 @@ def amp_witness(g: ChainGraph, q: SeparationQuery):
 # AMP oracle: literal path criterion over enumerated simple paths
 
 
-@_per_graph
 def _all_neighbors(g: ChainGraph):
-    out = {}
-    for v in g.nodes:
-        out[v] = tuple(sorted(g.dir_children[v] | g.dir_parents[v] | g.und_neighbors[v]))
-    return out
+    if g._all_neighbors is None:
+        g._all_neighbors = {
+            v: tuple(sorted(g.dir_children[v] | g.dir_parents[v] | g.und_neighbors[v]))
+            for v in g.nodes}
+    return g._all_neighbors
 
 
 def _amp_path_open(g: ChainGraph, path, dz: frozenset, triplex_ok: frozenset) -> bool:
@@ -331,24 +333,24 @@ def amp_separated_oracle(g: ChainGraph, q: SeparationQuery) -> bool:
 # LWF engine: anterior restriction + moralization + undirected separation
 
 
-def _marriages(t: _Masks, area: int) -> list:
-    """Moral adjacency of an anterior area: the skeleton plus the marriages
-    of the components inside it (the area is closed under parents)."""
-    moral = list(t.adj)
-    for members, pairs in t.comps:
+def _moral_nbrs(t: _Masks, k: int, area: int) -> int:
+    """Node k's neighbours in the moral graph of an anterior area: its
+    skeleton plus its marriages into the components inside the area."""
+    nbrs = t.adj[k]
+    for members, others in t.wed[k]:
         if members & area == members:
-            for k, others in pairs:
-                moral[k] |= others
-    return moral
+            nbrs |= others
+    return nbrs
 
 
-def _moral_reach(moral: list, allowed: int, sources: int) -> int:
-    """Reachable set from the sources in the moral graph, within allowed."""
+def _moral_reach(t: _Masks, area: int, dm: int, sources: int) -> int:
+    """Reachable set from the sources in the area's moral graph, avoiding dm."""
+    allowed = area & ~dm
     frontier = reach = sources & allowed
     while frontier:
         bit = frontier & -frontier
         frontier ^= bit
-        nbrs = moral[bit.bit_length() - 1] & allowed & ~reach
+        nbrs = _moral_nbrs(t, bit.bit_length() - 1, area) & allowed & ~reach
         reach |= nbrs
         frontier |= nbrs
     return reach
@@ -356,11 +358,7 @@ def _moral_reach(moral: list, allowed: int, sources: int) -> int:
 
 def lwf_separated(g: ChainGraph, q: SeparationQuery) -> bool:
     """LWF separation with determinism via anterior restriction and moralization."""
-    t, dm, sources, targets = _query_masks(g, q)
-    if not sources or not targets:
-        return True
-    area = _union(t.ant, sources | targets | dm)
-    return not _moral_reach(_marriages(t, area), area & ~dm, sources) & targets
+    return _searched(g, q, _lwf_path) is None
 
 
 def lwf_witness(g: ChainGraph, q: SeparationQuery):
@@ -369,17 +367,21 @@ def lwf_witness(g: ChainGraph, q: SeparationQuery):
     Breadth-first from the x nodes in name order, each node taking its
     neighbours in name order; the path to the first y node reached.
     """
-    t, dm, sources, targets = _query_masks(g, q)
-    if not sources or not targets:
-        return None
+    path = _searched(g, q, _lwf_path)
+    return None if path is None else list(path)
+
+
+def _lwf_path(t: _Masks, dm: int, sources: int, targets: int):
     area = _union(t.ant, sources | targets | dm)
-    moral = _marriages(t, area)
     allowed = area & ~dm
-    queue = [k for k in range(len(t.order)) if sources >> k & 1]
+    queue, rest = [], sources
+    while rest:
+        queue.append((rest & -rest).bit_length() - 1)
+        rest &= rest - 1
     came = dict.fromkeys(queue)
     seen = sources
     for k in queue:
-        nbrs = moral[k] & allowed & ~seen
+        nbrs = _moral_nbrs(t, k, area) & allowed & ~seen
         seen |= nbrs
         while nbrs:
             bit = nbrs & -nbrs
@@ -492,21 +494,19 @@ def lwf_connectivity(g: ChainGraph, dz: frozenset, order) -> list:
     ant_dz = _union(t.ant, dm)
     bits = [1 << t.pos[v] for v in order]
     ants = [t.ant[t.pos[v]] | ant_dz for v in order]
-    by_area: dict = {}  # area -> (moral adjacency, its components labelled so far)
+    by_area: dict = {}  # area -> its moral components labelled so far
     rows = [0] * len(order)
     for i, j in combinations(range(len(order)), 2):
         x, y = bits[i], bits[j]
         if (x | y) & dm:
             continue
         area = ants[i] | ants[j]
-        if area not in by_area:
-            by_area[area] = (_marriages(t, area), [])
-        moral, labelled = by_area[area]
+        labelled = by_area.setdefault(area, [])
         for comp in labelled:
             if comp & x:
                 break
         else:
-            comp = _moral_reach(moral, area & ~dm, x)
+            comp = _moral_reach(t, area, dm, x)
             labelled.append(comp)
         if comp & y:
             rows[i] |= 1 << j

@@ -105,10 +105,13 @@ def test_separate_amp_trace_does_not_depend_on_the_hash_seed(capsys, tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("argv", [
+CONNECTED_QUERIES = [
     ("separate", f"{DATA}/demo_g.cg", "--semantics", "amp", "--x", "C", "--y", "B"),
     ("separate", f"{DATA}/demo_eamp.cg", "--semantics", "lwf", "--x", "C", "--y", "F", "--z", "A"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", CONNECTED_QUERIES)
 def test_separate_trace_computes_dz_once(capsys, monkeypatch, argv):
     # the verdict, the D(Z) line, the endpoint note and the witness share one closure
     calls = []
@@ -122,6 +125,44 @@ def test_separate_trace_computes_dz_once(capsys, monkeypatch, argv):
     code, out, _ = _run(capsys, *argv, "--trace")
     assert code == 1 and "# open " in out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", CONNECTED_QUERIES)
+def test_separate_trace_runs_one_search(capsys, monkeypatch, argv):
+    # the verdict's search is the witness: every search takes the query's masks once
+    calls = []
+    query_masks = cgkit.separation._query_masks
+
+    def counting(g, q):
+        calls.append(q)
+        return query_masks(g, q)
+
+    monkeypatch.setattr(cgkit.separation, "_query_masks", counting)
+    code, out, _ = _run(capsys, *argv, "--trace")
+    assert code == 1 and "# open " in out
+    assert len(calls) == 1
+
+
+# golden stdout of separate --trace, named <graph>.<semantics>.<verdict>
+TRACE_GOLDENS = {
+    "demo_g.amp.connected": "--x B --y E --z D,F",
+    "demo_g.amp.separated": "--x C --y B --z A",
+    "demo_g.lwf.connected": "--x B --y E --z D,F",
+    "demo_g.lwf.separated": "--x B --y C --z A,D",
+    "demo_eamp.amp.connected": "--x B,C --y E,F --z A,D",
+    "demo_eamp.amp.separated": "--x eps(A) --y eps(B) --z A",
+    "demo_eamp.lwf.connected": "--x B,C --y E,F --z A,D",
+    "demo_eamp.lwf.separated": "--x C --y B --z A",
+}
+
+
+@pytest.mark.parametrize("name", TRACE_GOLDENS)
+def test_separate_trace_matches_golden(capsys, name):
+    graph, sem, verdict = name.split(".")
+    code, out, err = _run(capsys, "separate", f"{DATA}/{graph}.cg", "--semantics", sem,
+                          *TRACE_GOLDENS[name].split(), "--trace")
+    assert (code, err) == ((1 if verdict == "connected" else 0), "")
+    assert out == _golden_text(f"trace/{name}.out")
 
 
 def test_separate_lwf_on_gprime_with_rules(capsys):
@@ -349,6 +390,36 @@ def test_parse_errors_exit_2_with_lines(capsys, tmp_path):
     lines = err.splitlines()
     assert all(l.startswith("cgkit: parse: line ") for l in lines)
     assert any("line 3" in l for l in lines) and any("line 4" in l for l in lines)
+
+
+# one case per form the node-name grammar rejects; each used to pass validate
+BAD_NAMES = {
+    "leading-hash": "#x",  # its model dump lines read as comments
+    "bare-dash": "-",  # "--x -" means the empty list
+    "comma": "a,b",
+    "bar": "a|b",
+    "unbalanced-parens": "f(a",
+    "closing-paren-first": "a)b(",
+}
+
+
+@pytest.mark.parametrize("name", BAD_NAMES.values(), ids=BAD_NAMES.keys())
+def test_bad_node_names_exit_2(capsys, tmp_path, name):
+    f = tmp_path / "bad_name.cg"
+    f.write_text(f"cgfile 1\nnode {name}\nnode B\nedge {name} -> B\n")
+    for argv in (("validate", str(f)), ("separate", str(f), "--semantics", "amp", "--x", "B", "--y", name)):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cgkit: parse: line 2: bad node name {name!r}")
+
+
+def test_names_with_separators_inside_parentheses_stay_valid(capsys, tmp_path):
+    f = tmp_path / "sel.cg"
+    f.write_text("cgfile 1\nnode sel(eps(A),eps(B)) selection\nnode f(a|b)\nedge f(a|b) -> sel(eps(A),eps(B))\n")
+    assert _run(capsys, "validate", str(f))[:2] == (0, "ok\n")
+    code, out, _ = _run(capsys, "separate", str(f), "--semantics", "lwf",
+                        "--x", "f(a|b)", "--y", "sel(eps(A),eps(B))", "--trace")
+    assert code == 1 and "# open moral path: f(a|b) -- sel(eps(A),eps(B))" in out
 
 
 def test_missing_file_exit_2(capsys):

@@ -98,6 +98,12 @@ def test_reserved_tokens_rejected_as_names():
     assert probs[0][0] == 2 and "reserved" in probs[0][1]
 
 
+def test_bad_node_names_reported_at_their_line():
+    probs = _problems("cgfile 1\nnode A\nnode #x\nnode -\nnode a,b\nnode a|b\nnode f(a\n")
+    assert [ln for ln, _ in probs] == [3, 4, 5, 6, 7]
+    assert all("bad node name" in msg for _, msg in probs)
+
+
 def test_parse_error_message_lists_everything():
     with pytest.raises(ParseError) as exc:
         parse("cgfile 1\nnode A\nnode A\nfrob\n")

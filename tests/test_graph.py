@@ -44,6 +44,17 @@ def test_rejects_bad_node_names_and_kinds():
         ChainGraph({"A": "banana"}, [], [])
 
 
+@pytest.mark.parametrize("name", ["#x", "-", "a,b", "a|b", "f(a", "a)b(", "f(a))"])
+def test_rejects_names_that_would_not_read_back(name):
+    with pytest.raises(ValueError, match="bad node name"):
+        ChainGraph([name, "B"], [(name, "B")], [])
+
+
+def test_accepts_separators_inside_parentheses():
+    names = ["sel(eps(A),eps(B))", "f(a|b)", "a-b", "x#1", "eps(eps(A))"]
+    assert list(ChainGraph(names).nodes) == names
+
+
 def test_iterable_nodes_default_to_variable():
     g = ChainGraph(["A", "B"], [("A", "B")], [])
     assert g.kind("A") == VARIABLE

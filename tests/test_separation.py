@@ -6,6 +6,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cgkit.separation
 from cgkit.determinism import DeterminationTable, determined_set
 from cgkit.errors import GuardError, QueryError
 from cgkit.graph import ChainGraph, VARIABLE, validate
@@ -249,6 +250,9 @@ def test_engines_match_oracles_with_random_tables(n, seed):
         ql = q(x, y, z, LWF, table)
         assert amp_separated(g, qa) == amp_separated_oracle(g, qa)
         assert lwf_separated(g, ql) == lwf_route_oracle(g, ql)
+        # a fresh query runs its own search for the witness
+        assert (amp_witness(g, q(x, y, z, AMP, table)) is None) == amp_separated(g, qa)
+        assert (lwf_witness(g, q(x, y, z, LWF, table)) is None) == lwf_separated(g, ql)
 
 
 def _assert_rows_match_oracles(g, table, universe, cond=()):
@@ -370,3 +374,93 @@ def test_per_graph_tables_die_with_their_graph():
     del g
     gc.collect()
     assert ref() is None
+
+
+# --- one search per query ----------------------------------------------------
+
+
+_ENGINES = {AMP: (amp_separated, amp_witness), LWF: (lwf_separated, lwf_witness)}
+
+
+def _count_searches(monkeypatch):
+    """Record every search a query runs: each one takes the query's masks once."""
+    calls = []
+    query_masks = cgkit.separation._query_masks
+
+    def counting(g, qq):
+        calls.append(qq)
+        return query_masks(g, qq)
+
+    monkeypatch.setattr(cgkit.separation, "_query_masks", counting)
+    return calls
+
+
+@pytest.mark.parametrize("sem", [AMP, LWF])
+def test_a_query_searches_again_only_when_asked_something_new(monkeypatch, sem):
+    ep = to_eamp(demo_graph())
+    g = ep.graph
+    sep, wit = _ENGINES[sem]
+    qq = q({"C"}, {"B"}, (), sem, ep.table)
+    searches = _count_searches(monkeypatch)
+
+    def ask(graph, want_searches):
+        # verdict and witness twice, against a fresh query asked afterwards
+        del searches[:]
+        got = [sep(graph, qq), wit(graph, qq), sep(graph, qq), wit(graph, qq)]
+        assert len(searches) == want_searches
+        fresh = SeparationQuery(qq.x, qq.y, qq.z, sem, qq.table)
+        want = wit(graph, fresh)
+        assert got == [want is None, want] * 2
+        return want
+
+    assert ask(g, 1) is not None
+    assert ask(g, 0) is not None
+    qq.z = frozenset({"A"})
+    assert ask(g, 1) is None
+    qq.x = frozenset({"C", "E"})
+    ask(g, 1)
+    qq.y = frozenset({"B", "F"})
+    ask(g, 1)
+    qq.table = DeterminationTable()
+    ask(g, 1)
+    ask(ChainGraph(dict(g.nodes), g.directed, g.undirected), 1)
+    ask(g, 1)
+
+
+@pytest.mark.parametrize("sem", [AMP, LWF])
+def test_a_witness_is_asked_on_the_other_semantics_query(monkeypatch, sem):
+    # each semantics' search replaces the other's on the query
+    ep = to_eamp(demo_graph())
+    other = LWF if sem == AMP else AMP
+    qq = q({"B", "C"}, {"E", "F"}, {"A", "D"}, other, ep.table)
+    searches = _count_searches(monkeypatch)
+    _ENGINES[other][0](ep.graph, qq)
+    route = _ENGINES[sem][1](ep.graph, qq)
+    assert len(searches) == 2
+    assert route == _ENGINES[sem][1](ep.graph, q(qq.x, qq.y, qq.z, sem, ep.table))
+    assert route != _ENGINES[other][1](ep.graph, qq)
+    assert len(searches) == 4
+
+
+@pytest.mark.parametrize("sem", [AMP, LWF])
+def test_mutating_a_witness_leaves_the_query_alone(sem):
+    g = demo_graph()
+    sep, wit = _ENGINES[sem]
+    qq = q({"B"}, {"E"}, {"D", "F"}, sem)
+    route = wit(g, qq)
+    want = list(route)
+    route.append(route[0])
+    route[0] = None
+    assert wit(g, qq) == want and not sep(g, qq)
+
+
+def test_a_query_does_not_keep_its_graph_alive():
+    g = demo_graph()
+    qa, ql = q({"C"}, {"B"}), q({"C"}, {"B"}, (), LWF)
+    assert amp_witness(g, qa) and lwf_witness(g, ql)
+    assert qa._route is not None and ql._route is not None
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+    assert qa._route is not None and ql._route is not None
