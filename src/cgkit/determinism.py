@@ -3,6 +3,7 @@
 A rule (determinants, target) states that the target node is a function of
 the determinant nodes.  Conditioning on a set z then effectively conditions
 on determined_set(table, z), the least fixpoint of firing rules.
+rule_masks and mask_closure compute the same fixpoint on bitmasks.
 """
 
 from __future__ import annotations
@@ -53,6 +54,32 @@ def determined_set(table: DeterminationTable, z: Iterable[str]) -> frozenset:
                 out.add(target)
                 changed = True
     return frozenset(out)
+
+
+def rule_masks(table: DeterminationTable, pos) -> tuple:
+    """The rules as (determinant mask, target bit) pairs over the positions
+    in pos, and the names outside pos, each mapped to the position past them it takes."""
+    outside: dict = {}
+
+    def bit(v):
+        p = pos.get(v)
+        if p is None:
+            p = outside.setdefault(v, len(pos) + len(outside))
+        return 1 << p
+
+    return [(sum(map(bit, dets)), bit(target)) for dets, target in table.rules], outside
+
+
+def mask_closure(rules, m: int) -> int:
+    """Least fixpoint of mask m under the (determinant mask, target bit) rules."""
+    grew = True
+    while grew:
+        grew = False
+        for dets, bit in rules:
+            if not (dets & ~m or bit & m):
+                m |= bit
+                grew = True
+    return m
 
 
 def eamp_rules(g: ChainGraph) -> DeterminationTable:

@@ -16,18 +16,25 @@ Full triples are expanded only where output needs them (``triples``,
 bitmasks, each unordered pair once with the x side holding the
 lexicographically least node.
 
-Enumeration walks the conditioning sets and stores the connectivity rows
-of each, computed once per distinct D(Z).
+Enumeration runs on graph-position bitmasks from start to finish: the
+determination rules become (determinant mask, target bit) pairs, D(z) is
+the closure of D(z minus its top node) plus that node, and the rows are
+computed once per distinct D(Z) mask by cores whose per-universe set-up is
+done once per model.  The row check packs every distinct table into one int
+and tests range, diagonal and symmetry with word operations.
 """
 
 from __future__ import annotations
 
+import struct
+from itertools import count, starmap
+from operator import and_, itemgetter
 from typing import Iterable
 
-from .determinism import DeterminationTable, determined_set
+from .determinism import DeterminationTable, mask_closure, rule_masks
 from .errors import GuardError
-from .graph import VARIABLE, ChainGraph
-from .separation import AMP, LWF, amp_connectivity, lwf_connectivity
+from .graph import VARIABLE, ChainGraph, name_problem
+from .separation import AMP, LWF, _mask, _masks, _row_core
 
 # full enumeration is exponential; refuse universes past this size
 MAX_MODEL_NODES = 12
@@ -40,8 +47,9 @@ def triple_count(n: int) -> int:
     return (4**n - 2 * 3**n + 2**n) // 2
 
 
-def _split_names(field: str):
-    """Split a comma-separated name list, respecting parentheses."""
+def _split_names(field: str, known=()):
+    """Split a comma-separated name list, respecting parentheses, and refuse
+    a part outside known that is not a node name."""
     if field == "-":
         return ()
     parts, depth, start = [], 0, 0
@@ -54,6 +62,10 @@ def _split_names(field: str):
             parts.append(field[start:i])
             start = i + 1
     parts.append(field[start:])
+    for part in parts:
+        problem = part not in known and name_problem(part)
+        if problem:
+            raise ValueError(f"bad node name {part!r}: {problem}")
     return tuple(parts)
 
 
@@ -130,29 +142,65 @@ def _triple_masks(pos, x, y, z):
     return xm, ym, zm
 
 
+# (shift, mask) of the four masked swaps that transpose a 16x16 bit matrix
+# packed with row i in bits 16i..16i+15: the swap of step k exchanges bit j
+# of row i with bit j-k of row i+k wherever bit k is clear in i and set in j;
+# the masks are bytes, so they can be repeated for many matrices side by side
+_SWAPS = tuple(
+    (15 * k, (sum(1 << j for j in range(16) if j & k)
+              * sum(1 << 16 * i for i in range(16) if not i & k)).to_bytes(32, "little"))
+    for k in (8, 4, 2, 1)
+)
+_DIAGONAL = sum(1 << 17 * i for i in range(16)).to_bytes(32, "little")
+
+
+def _first_row_problem(rows, n: int) -> None:
+    """Raise for the first problem a literal pass over the rows finds."""
+    for zm, row in enumerate(rows):
+        acc = 0
+        for i, r in enumerate(row):
+            if r < 0 or r >> n or r >> i & 1:
+                raise ValueError(f"model row {i} at conditioning set {zm} is not a mask of other nodes")
+            for j in _positions(r):
+                if not row[j] >> i & 1:
+                    raise ValueError(f"model rows at conditioning set {zm} are not symmetric")
+            acc |= r
+        if acc & zm:
+            raise ValueError(f"model rows at conditioning set {zm} are not empty on it")
+
+
 def _check_rows(rows, n: int) -> None:
     """Refuse rows that are not symmetric, or not empty on z and the diagonal.
 
-    Each distinct table is checked once and summarized by the OR of its
-    rows, which by symmetry is also the set of nodes with nonempty rows; a
-    conditioning set must miss that summary.
+    The distinct table objects of rows, tuples, are packed side by side into
+    one int, a 256-bit block each with a 16-bit lane per row and zero lanes
+    past n.  Word operations then test every block at once against a
+    diagonal mask, and the int against its transpose (Warren, Hacker's
+    Delight, 7-3); a bit past n would need a partner in a zero lane, so
+    symmetry covers the range.  OR-folding a block's lanes gives, by
+    symmetry, the nodes with nonempty rows, which each conditioning set of
+    the table must miss.
     """
-    touched: dict = {}
-    for zm, row in enumerate(rows):
-        acc = touched.get(row)
-        if acc is None:
-            acc = 0
-            for i, r in enumerate(row):
-                if r < 0 or r >> n or r >> i & 1:
-                    raise ValueError(
-                        f"model row {i} at conditioning set {zm} is not a mask of other nodes")
-                for j in _positions(r):
-                    if not row[j] >> i & 1:
-                        raise ValueError(f"model rows at conditioning set {zm} are not symmetric")
-                acc |= r
-            touched[row] = acc
-        if acc & zm:
-            raise ValueError(f"model rows at conditioning set {zm} are not empty on it")
+    ids = list(map(id, rows))
+    tables = dict(zip(ids, rows))
+    block = struct.Struct(f"<{n}H{32 - 2 * n}x")
+    try:
+        packed = int.from_bytes(b"".join(starmap(block.pack, tables.values())), "little")
+    except struct.error:
+        return _first_row_problem(rows, n)
+    flip = packed
+    for shift, mask in _SWAPS:
+        d = (flip ^ flip >> shift) & int.from_bytes(mask * len(tables), "little")
+        flip ^= d ^ d << shift
+    if packed & int.from_bytes(_DIAGONAL * len(tables), "little") or flip != packed:
+        return _first_row_problem(rows, n)
+    # lane 0 of each block ends up holding the OR of the block's lanes
+    for shift in (128, 64, 32, 16):
+        packed |= packed >> shift
+    lane0 = map(itemgetter(0), struct.iter_unpack("<H30x", packed.to_bytes(32 * len(tables), "little")))
+    nonempty = dict(zip(tables, lane0))
+    if any(map(and_, map(nonempty.__getitem__, ids), count())):
+        _first_row_problem(rows, n)
 
 
 class IndependenceModel:
@@ -169,8 +217,8 @@ class IndependenceModel:
     def __init__(self, universe: Iterable[str], rows):
         self.universe, self._pos = _positions_of(universe)
         n = len(self.universe)
-        self.rows = tuple(tuple(r) for r in rows)
-        if len(self.rows) != 1 << n or any(len(r) != n for r in self.rows):
+        self.rows = tuple(map(tuple, rows))
+        if len(self.rows) != 1 << n or set(map(len, self.rows)) != {n}:
             raise ValueError(f"a model over {n} nodes needs {1 << n} rows of {n} masks")
         _check_rows(self.rows, n)
 
@@ -273,7 +321,7 @@ class IndependenceModel:
             fields = [f.strip() for f in ln.split("|")]
             if len(fields) != 3:
                 raise ValueError(f"malformed model line: {ln!r}")
-            xm, ym, zm = _triple_masks(pos, *(_split_names(f) for f in fields))
+            xm, ym, zm = _triple_masks(pos, *(_split_names(f, pos) for f in fields))
             read.setdefault(zm, set()).add((xm, ym))
         rows = []
         for zm in range(1 << n):
@@ -331,29 +379,25 @@ def enumerate_model(
         raise ValueError("condition_on must be disjoint from the universe")
     if cond - set(g.nodes):
         raise ValueError("condition_on nodes must be in the graph")
-    table = table if table is not None else DeterminationTable()
-    if semantics == AMP:
-        connectivity = amp_connectivity
-    elif semantics == LWF:
-        connectivity = lwf_connectivity
-    else:
+    if semantics not in (AMP, LWF):
         raise ValueError(f"unknown semantics {semantics!r}")
+    t = _masks(g)
+    rows_at = _row_core(t, semantics, order)
+    rules, outside = rule_masks(table or DeterminationTable(), t.pos)
 
     # D is a closure operator, so D(z) is the closure of D(z minus its top
-    # node) plus that node, and needs no work when the node is already in it
-    dzs = [determined_set(table, cond)]
-    for zmask in range(1, 1 << n):
-        top = zmask.bit_length() - 1
-        below = dzs[zmask ^ 1 << top]
-        v = order[top]
-        dzs.append(below if v in below else determined_set(table, below | {v}))
-    by_dz: dict = {}
-    rows = []
-    for dz in dzs:
-        if dz not in by_dz:
-            by_dz[dz] = tuple(connectivity(g, dz, order))
-        rows.append(by_dz[dz])
-    return IndependenceModel(order, rows)
+    # node) plus that node, and needs no work when the node is already in it;
+    # each universe node doubles the list, which stays in ascending order of z
+    dzs = [mask_closure(rules, _mask(t.pos, cond))]
+    for bit in (1 << t.pos[v] for v in order):
+        dzs += [dz if dz & bit else mask_closure(rules, dz | bit) for dz in dzs]
+    by_dz = dict.fromkeys(dzs)
+    for dm in by_dz:
+        if dm >> len(t.order):
+            stray = sorted(v for v, p in outside.items() if dm >> p & 1)
+            raise ValueError(f"determination table reaches nodes outside the graph: {', '.join(stray)}")
+        by_dz[dm] = tuple(rows_at(dm))
+    return IndependenceModel(order, map(by_dz.__getitem__, dzs))
 
 
 def project_model(m: IndependenceModel, l=(), s=()) -> IndependenceModel:

@@ -9,7 +9,8 @@ triplex depends only on the mark the route entered the node by and the edge
 it leaves along, so the engine is one level-synchronous search over three
 frontier bitmasks, one per entry mark (head, line, tail): each level ORs
 the child, neighbour or parent masks of the frontier nodes the marks and dz
-let through.  The bulk connectivity rows run it once per source.  A query
+let through.  The bulk connectivity rows run it once per source, stopping
+once it has reached every member not yet searched from.  A query
 runs it once, keeping every level's frontiers to rebuild a shortest route
 backwards, its witness; no route is its verdict.  The oracle enumerates
 simple paths and applies the path criterion, where a triplex node may also
@@ -29,12 +30,13 @@ reach.  The oracle expands routes level by level under the section criterion.
 Both semantics treat a query node inside dz like any other determined
 node: conditioning effectively swallows it, so no open route starts or
 ends there.  A query keeps its one search, so its verdict and witness
-come from the same run.
+come from the same run.  A table that determines a node outside the graph
+is refused with QueryError.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import partial
 from typing import Optional
 
 from .determinism import DeterminationTable, determined_set
@@ -84,6 +86,12 @@ def _check_query(g: ChainGraph, q: SeparationQuery) -> None:
     names = q.x | q.y | q.z
     if not names <= g.nodes.keys():
         raise QueryError(f"unknown nodes: {', '.join(sorted(names - g.nodes.keys()))}")
+
+
+def _check_determined(g: ChainGraph, dz: frozenset) -> None:
+    if not dz <= g.nodes.keys():
+        stray = ", ".join(sorted(dz - g.nodes.keys()))
+        raise QueryError(f"determination table reaches nodes outside the graph: {stray}")
 
 
 def effective_conditioning(q: SeparationQuery) -> frozenset:
@@ -173,7 +181,8 @@ def _masks(g: ChainGraph) -> _Masks:
 # AMP engine: one search over entry-mark frontiers
 
 
-def _amp_search(t: _Masks, dm: int, sources: int, targets: int = 0, levels=None) -> int:
+def _amp_search(t: _Masks, dm: int, sources: int, targets: int = 0, levels=None,
+                wanted: int = -1) -> int:
     """Nodes reached from the sources along routes open given dm, D(Z) as a mask.
 
     A node outside dm passes a route on only by a non-triplex visit:
@@ -181,23 +190,40 @@ def _amp_search(t: _Masks, dm: int, sources: int, targets: int = 0, levels=None)
     any edge.  A node in dm passes it on only by a triplex visit: entered by
     a head it leaves by pa or ne, by a line by pa, by a tail not at all.
     Sources count as entered by a tail.  Each (node, mark) state is reached
-    once.  The search stops after the first level that meets targets; if
-    levels is a list, it receives every level's (head, line, tail) frontiers.
+    once.  The search stops after the first level that meets targets or has
+    reached all of wanted; if levels is a list, it receives every level's
+    (head, line, tail) frontiers.
     """
     ch, pa, ne = t.ch, t.pa, t.ne
-    free = ~dm
     head = line = seen_h = seen_l = reach = 0
     tail = seen_t = sources
     while True:
         if levels is not None:
             levels.append((head, line, tail))
-        if reach & targets or not head | line | tail:
+        if reach & targets or not wanted & ~reach or not head | line | tail:
             return reach
-        head, line, tail = (
-            _union(ch, (head | line | tail) & free) & ~seen_h,
-            _union(ne, (line | tail) & free | head & dm) & ~seen_l,
-            _union(pa, tail & free | (head | line) & dm) & ~seen_t,
-        )
+        to_h = to_l = to_t = 0
+        frontier = head | line | tail
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            k = bit.bit_length() - 1
+            if bit & dm:
+                if bit & head:
+                    to_l |= ne[k]
+                    to_t |= pa[k]
+                elif bit & line:
+                    to_t |= pa[k]
+            else:
+                to_h |= ch[k]
+                if bit & tail:
+                    to_l |= ne[k]
+                    to_t |= pa[k]
+                elif bit & line:
+                    to_l |= ne[k]
+        head = to_h & ~seen_h
+        line = to_l & ~seen_l
+        tail = to_t & ~seen_t
         seen_h |= head
         seen_l |= line
         seen_t |= tail
@@ -208,7 +234,12 @@ def _query_masks(g: ChainGraph, q: SeparationQuery):
     """The graph's tables, D(Z) as a mask, and the x and y nodes outside it."""
     _check_query(g, q)
     t = _masks(g)
-    dm = _mask(t.pos, effective_conditioning(q))
+    dz = effective_conditioning(q)
+    try:
+        dm = _mask(t.pos, dz)
+    except KeyError:
+        _check_determined(g, dz)
+        raise
     return t, dm, _mask(t.pos, q.x) & ~dm, _mask(t.pos, q.y) & ~dm
 
 
@@ -304,6 +335,7 @@ def amp_separated_oracle(g: ChainGraph, q: SeparationQuery) -> bool:
             f"path oracle handles at most {AMP_ORACLE_MAX_NODES} nodes, got {len(g.nodes)}"
         )
     dz = determined_set(q.table, q.z)
+    _check_determined(g, dz)
     triplex_ok = dz | strict_ascendants(g, dz)
     targets = q.y - dz
     nbrs = _all_neighbors(g)
@@ -345,12 +377,18 @@ def _moral_nbrs(t: _Masks, k: int, area: int) -> int:
 
 def _moral_reach(t: _Masks, area: int, dm: int, sources: int) -> int:
     """Reachable set from the sources in the area's moral graph, avoiding dm."""
+    adj, wed = t.adj, t.wed
     allowed = area & ~dm
     frontier = reach = sources & allowed
     while frontier:
         bit = frontier & -frontier
         frontier ^= bit
-        nbrs = _moral_nbrs(t, bit.bit_length() - 1, area) & allowed & ~reach
+        k = bit.bit_length() - 1
+        nbrs = adj[k]  # the rule of _moral_nbrs, inlined on this hot path
+        for members, others in wed[k]:
+            if members & area == members:
+                nbrs |= others
+        nbrs &= allowed & ~reach
         reach |= nbrs
         frontier |= nbrs
     return reach
@@ -416,6 +454,7 @@ def lwf_route_oracle(g: ChainGraph, q: SeparationQuery) -> bool:
             f"route oracle handles at most {LWF_ORACLE_MAX_NODES} nodes, got {n}"
         )
     dz = determined_set(q.table, q.z)
+    _check_determined(g, dz)
     bound = 2 * n * n
 
     def accepts(state) -> bool:
@@ -459,25 +498,46 @@ def separated(g: ChainGraph, q: SeparationQuery) -> bool:
     return lwf_separated(g, q)
 
 
-# Bulk helpers used by model enumeration.  They answer every singleton pair
+# Bulk rows used by model enumeration.  They answer every singleton pair
 # through the same cores as the public engines.
 
-def amp_connectivity(g: ChainGraph, dz: frozenset, order) -> list:
-    """For each node in order, the bitmask of order members it stays connected to.
+def _row_core(t: _Masks, semantics: str, order):
+    """rows(dm): the connectivity rows of the order members given D(Z) as a
+    mask, with the set-up that depends only on the members done once."""
+    bits = [1 << t.pos[v] for v in order]
+    if semantics == AMP:
+        return partial(_amp_rows, t, dict(zip(bits, range(len(bits)))))
+    return partial(_lwf_rows, t, bits, [t.ant[b.bit_length() - 1] for b in bits])
 
-    Connectivity is symmetric: a search fills both rows of each pair it finds.
-    """
+
+def amp_connectivity(g: ChainGraph, dz: frozenset, order) -> list:
+    """For each node in order, the bitmask of order members it stays connected to."""
     t = _masks(g)
-    dm = _mask(t.pos, dz)
-    # graph bit -> position in order
-    index = {1 << t.pos[v]: i for i, v in enumerate(order)}
-    rest = _mask(t.pos, order) & ~dm
-    rows = [0] * len(order)
+    return _row_core(t, AMP, order)(_mask(t.pos, dz))
+
+
+def lwf_connectivity(g: ChainGraph, dz: frozenset, order) -> list:
+    """Pairwise LWF connectivity, one set of moral components per anterior area."""
+    t = _masks(g)
+    return _row_core(t, LWF, order)(_mask(t.pos, dz))
+
+
+def _amp_rows(t: _Masks, index: dict, dm: int) -> list:
+    """Rows of the members, index mapping each one's graph bit to its row.
+
+    Connectivity is symmetric, so each search looks only for the members not
+    searched from yet, stops once it has reached them all, and fills both
+    rows of each pair it finds; the last member needs no search.
+    """
+    rest = sum(index) & ~dm  # distinct bits, so their sum is their union
+    rows = [0] * len(index)
     for gbit, i in index.items():
         if not gbit & rest:
             continue
         rest ^= gbit
-        reach = _amp_search(t, dm, gbit) & rest if rest else 0
+        if not rest:
+            break
+        reach = _amp_search(t, dm, gbit, wanted=rest) & rest
         while reach:
             bit = reach & -reach
             reach ^= bit
@@ -487,28 +547,24 @@ def amp_connectivity(g: ChainGraph, dz: frozenset, order) -> list:
     return rows
 
 
-def lwf_connectivity(g: ChainGraph, dz: frozenset, order) -> list:
-    """Pairwise LWF connectivity, one set of moral components per anterior area."""
-    t = _masks(g)
-    dm = _mask(t.pos, dz)
+def _lwf_rows(t: _Masks, bits: list, ants: list, dm: int) -> list:
+    """Rows of the members with these graph bits and anterior masks."""
     ant_dz = _union(t.ant, dm)
-    bits = [1 << t.pos[v] for v in order]
-    ants = [t.ant[t.pos[v]] | ant_dz for v in order]
     by_area: dict = {}  # area -> its moral components labelled so far
-    rows = [0] * len(order)
-    for i, j in combinations(range(len(order)), 2):
-        x, y = bits[i], bits[j]
-        if (x | y) & dm:
-            continue
-        area = ants[i] | ants[j]
-        labelled = by_area.setdefault(area, [])
-        for comp in labelled:
-            if comp & x:
-                break
-        else:
-            comp = _moral_reach(t, area, dm, x)
-            labelled.append(comp)
-        if comp & y:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+    rows = [0] * len(bits)
+    free = [k for k, x in enumerate(bits) if not x & dm]
+    for a, i in enumerate(free):
+        x, ant_x = bits[i], ants[i] | ant_dz
+        for j in free[a + 1:]:
+            area = ant_x | ants[j]
+            labelled = by_area.setdefault(area, [])
+            for comp in labelled:
+                if comp & x:
+                    break
+            else:
+                comp = _moral_reach(t, area, dm, x)
+                labelled.append(comp)
+            if comp & bits[j]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
     return rows

@@ -288,6 +288,34 @@ def test_project_refuses_dump_not_closed(capsys, tmp_path):
     assert err.startswith("cgkit: error:") and "not closed" in err
 
 
+# golden files generated before enumeration ran on graph-position masks;
+# the augmented sub-universe closes D(Z) onto the error nodes left out
+MODEL_GOLDENS = {
+    "demo_g.amp": (),
+    "demo_g.lwf": (),
+    "demo_eamp.amp": ("--universe", "A,B,C,D,E,F"),
+    "demo_eamp.lwf": ("--universe", "A,B,C,D,E,F"),
+}
+
+
+@pytest.mark.parametrize("name", MODEL_GOLDENS)
+def test_model_matches_golden(capsys, name):
+    graph, sem = name.split(".")
+    code, out, err = _run(capsys, "model", f"{DATA}/{graph}.cg", "--semantics", sem, *MODEL_GOLDENS[name])
+    assert (code, err) == (0, "")
+    assert out == _golden_text(f"model/{name}.out")
+
+
+def test_project_refuses_dump_with_bad_name(capsys, tmp_path):
+    # "#B | C | -" reads as a comment, so without the name check the dump
+    # was refused only as lacking that pairwise triple
+    f = tmp_path / "bad.model"
+    f.write_text("# universe #B,A,C\nA | C | -\n#B | C | -\nA,#B | C | -\n")
+    code, out, err = _run(capsys, "project", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("cgkit: error: bad node name '#B'")
+
+
 def test_model_guard_refuses_large(capsys, tmp_path, monkeypatch):
     code, big, _ = _run(capsys, "gen", "--nodes", "13", "--seed", "0")
     monkeypatch.setattr("sys.stdin", io.StringIO(big))

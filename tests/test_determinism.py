@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cgkit.determinism import DeterminationTable, determined_set, eamp_rules
+from cgkit.determinism import DeterminationTable, determined_set, eamp_rules, mask_closure, rule_masks
 from cgkit.errors import StructureError
 from cgkit.transforms import to_eamp
 
@@ -74,3 +74,15 @@ def test_closure_is_extensive_and_idempotent(table, z):
 @given(_tables, st.sets(st.sampled_from("ABCDE")), st.sets(st.sampled_from("ABCDE")))
 def test_closure_monotone_in_z(table, z1, extra):
     assert determined_set(table, z1) <= determined_set(table, z1 | extra)
+
+
+@given(_tables, st.sets(st.sampled_from("ABCDE")), st.sets(st.sampled_from("ABCDE"), min_size=1))
+def test_mask_closure_matches_determined_set(table, z, known):
+    # names outside known take positions past them, so reaching one shows
+    pos = {v: i for i, v in enumerate(sorted(known))}
+    rules, outside = rule_masks(table, pos)
+    at = {**pos, **outside}
+    assert len(set(at.values())) == len(at)
+    z &= known
+    dm = mask_closure(rules, sum(1 << pos[v] for v in z))
+    assert {v for v, p in at.items() if dm >> p & 1} == determined_set(table, z)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from cgkit.graph import ChainGraph, validate
 from cgkit.models import (
     MAX_MODEL_NODES,
     IndependenceModel,
+    _check_rows,
     enumerate_model,
     model_diff,
     project_model,
@@ -78,6 +80,16 @@ def test_universe_and_condition_on_validation():
         enumerate_model(g, EMPTY, AMP, universe={"A", "B"}, condition_on={"A"})
     with pytest.raises(ValueError):
         enumerate_model(g, EMPTY, AMP, universe={"A", "B"}, condition_on={"Q"})
+
+
+def test_tables_naming_nodes_outside_the_graph():
+    g = ChainGraph(["A", "B", "C"], directed=[("A", "B")], undirected=[("B", "C")])
+    for sem in (AMP, LWF):
+        with pytest.raises(ValueError, match="outside the graph: Q"):
+            enumerate_model(g, DeterminationTable([({"A"}, "Q")]), sem)
+        # a rule that can never fire changes nothing
+        idle = DeterminationTable([({"Q"}, "B")])
+        assert enumerate_model(g, idle, sem) == enumerate_model(g, EMPTY, sem)
 
 
 def test_has_validates_inputs():
@@ -255,18 +267,97 @@ def test_rows_follow_the_closure_of_each_conditioning_set(sem):
     # joins every z and can fire rules on its own
     rnd = random.Random(5)
     connectivity = amp_connectivity if sem == AMP else lwf_connectivity
+    cases = []
     for seed in range(8):
-        g = random_cg(6, 0.5, seed)
+        g = random_cg(7, 0.5, seed)
         names = sorted(g.nodes)
         table = DeterminationTable(
             (rnd.sample([v for v in names if v != t], rnd.randint(1, 2)), t)
-            for t in rnd.sample(names, 4)
+            for t in rnd.sample(names, 5)
         )
-        order, cond = names[:5], {names[5]}
+        # the whole graph; a sub-universe with one node left out; and one
+        # with two left out, which D(z) can still reach
+        cases += [(g, table, names, set()), (g, table, names[:5], {names[5]}),
+                  (g, table, names[2:6], {names[0]})]
+        # an augmented graph over its variables: D(z) closes onto error nodes
+        ep = to_eamp(random_cg(4, 0.5, seed))
+        cases.append((ep.graph, ep.table, ep.graph.variables[1:], {ep.graph.variables[0]}))
+    for g, table, order, cond in cases:
         m = enumerate_model(g, table, sem, order, condition_on=cond)
+        order = sorted(order)
         for zm in range(1 << len(order)):
             z = {v for i, v in enumerate(order) if zm >> i & 1} | cond
-            assert m.rows[zm] == tuple(connectivity(g, determined_set(table, z), order)), (seed, zm)
+            assert m.rows[zm] == tuple(connectivity(g, determined_set(table, z), order)), (order, zm)
+
+
+def _literal_row_problem(table, zm, n):
+    """Per-bit reference for the checks on one table at conditioning set zm."""
+    for i in range(n):
+        r = table[i]
+        if r < 0 or r >= 1 << n or r >> i & 1:
+            return f"model row {i} at conditioning set {zm} is not a mask of other nodes"
+        for j in range(n):
+            if r >> j & 1 and not table[j] >> i & 1:
+                return f"model rows at conditioning set {zm} are not symmetric"
+    for i in range(n):
+        for j in range(n):
+            if table[i] >> j & 1 and (zm >> i & 1 or zm >> j & 1):
+                return f"model rows at conditioning set {zm} are not empty on it"
+    return None
+
+
+def _random_table(rnd, n, zm, density):
+    """A valid table at conditioning set zm: symmetric pairs of free nodes."""
+    row = [0] * n
+    for i, j in itertools.combinations([k for k in range(n) if not zm >> k & 1], 2):
+        if rnd.random() < density:
+            row[i] |= 1 << j
+            row[j] |= 1 << i
+    return row
+
+
+FLAWS = ("none", "asymmetric", "diagonal", "range", "negative", "not-empty-on-z")
+
+
+@given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       st.sampled_from(FLAWS))
+@settings(max_examples=300, deadline=None)
+def test_packed_row_check_agrees_with_a_literal_checker(n, seed, density, flaw):
+    rnd = random.Random(seed)
+    zm = rnd.getrandbits(n) if rnd.random() < 0.5 else rnd.randrange(min(1 << n, 16))
+    row = _random_table(rnd, n, zm, density)
+    i = rnd.randrange(n)
+    others = [j for j in range(n) if j != i]
+    flawed = True
+    if flaw == "asymmetric" and others:
+        row[i] ^= 1 << rnd.choice(others)
+    elif flaw == "diagonal":
+        row[i] |= 1 << i
+    elif flaw == "range":
+        row[i] |= 1 << rnd.randrange(n, 40)
+    elif flaw == "negative":
+        row[i] = -1 - row[i]
+    elif flaw == "not-empty-on-z" and zm and others:
+        i = rnd.choice([k for k in range(n) if zm >> k & 1])
+        j = rnd.choice([k for k in range(n) if k != i])
+        row[i] |= 1 << j
+        row[j] |= 1 << i
+    else:
+        flawed = False
+    # distinct valid tables at the first 16 conditioning sets, so several
+    # tables share the packed int, and one shared empty table after them
+    empty = (0,) * n
+    rows = [tuple(_random_table(rnd, n, z, density)) if z < 16 else empty for z in range(zm)]
+    rows.append(tuple(row))
+    problems = [_literal_row_problem(t, z, n) for z, t in enumerate(rows) if t is not empty]
+    want = next(filter(None, problems), None)
+    assert (want is not None) == flawed
+    try:
+        _check_rows(rows, n)
+        got = None
+    except ValueError as e:
+        got = str(e)
+    assert got == want
 
 
 # --- the row-table representation -------------------------------------------
@@ -348,6 +439,28 @@ def test_valid_model_rows_are_accepted():
     assert len(IndependenceModel("AB", [(0b10, 0b01), (0, 0), (0, 0), (0, 0)])) == 0
     m = enumerate_model(demo_graph(), EMPTY, AMP)
     assert IndependenceModel(m.universe, m.rows) == m
+
+
+@pytest.mark.parametrize("dump, name", [
+    ("# universe A,B,#C\nA | B | -\n", "#C"),
+    ("# universe A,B,-\nA | B | -\n", "-"),
+    ("# universe A, B\n", " B"),
+    ("# universe A,,B\n", ""),
+    ("# universe A,B),C\n", "B),C"),
+    ("# universe A,B\nA | B | C)\n", "C)"),
+    ("# universe A,B,C\nA | B | ,C\n", ""),
+    ("# universe A,B,C\nA | B,#C | -\n", "#C"),
+    # the singleton line reads as a comment; it was refused only as unclosed
+    ("# universe #B,A,C\nA | C | -\n#B | C | -\nA,#B | C | -\n", "#B"),
+])
+def test_loads_refuses_bad_node_names(dump, name):
+    with pytest.raises(ValueError, match=re.escape(f"bad node name {name!r}")):
+        IndependenceModel.loads(dump)
+
+
+def test_loads_keeps_names_with_separators_in_parentheses():
+    m = IndependenceModel.loads("# universe A,sel(eps(A),eps(B))\nA | sel(eps(A),eps(B)) | -\n")
+    assert m.universe == ("A", "sel(eps(A),eps(B))") and len(m) == 1
 
 
 def test_loads_accepts_any_line_order_and_orientation():

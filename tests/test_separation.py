@@ -51,6 +51,19 @@ def test_query_sets_must_be_disjoint_and_nonempty():
         amp_separated(g, q({"Q"}, {"B"}))
 
 
+@pytest.mark.parametrize("fn", [amp_separated, amp_witness, amp_separated_oracle,
+                                lwf_separated, lwf_witness, lwf_route_oracle])
+def test_tables_naming_nodes_outside_the_graph(fn):
+    g = ChainGraph(["A", "B", "C"], directed=[("A", "B")], undirected=[("B", "C")])
+    sem = AMP if fn in (amp_separated, amp_witness, amp_separated_oracle) else LWF
+    with pytest.raises(QueryError, match="outside the graph: Q"):
+        fn(g, q({"B"}, {"C"}, {"A"}, sem, DeterminationTable([({"A"}, "Q")])))
+    # a rule that can never fire changes nothing
+    idle = DeterminationTable([({"Q"}, "B")])
+    for x, y, z in canonical_triples(g.nodes):
+        assert fn(g, q(x, y, z, sem, idle)) == fn(g, q(x, y, z, sem)), (x, y, z)
+
+
 def test_semantics_validated():
     with pytest.raises(QueryError, match="unknown semantics"):
         SeparationQuery({"A"}, {"B"}, (), "magic", DeterminationTable())
