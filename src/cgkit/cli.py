@@ -13,29 +13,12 @@ import os
 import sys
 
 from . import fileformat
-from .determinism import DeterminationTable, determined_set
 from .errors import GuardError, NumericError, ParseError, QueryError, StructureError
-from .graph import ERROR, VARIABLE, ChainGraph, validate
-from .models import (
-    IndependenceModel,
-    _split_names,
-    enumerate_model,
-    model_diff,
-    project_model,
-    random_cg,
-)
-from .separation import (
-    AMP,
-    LWF,
-    SEMANTICS,
-    SeparationQuery,
-    amp_witness,
-    determined_query_nodes,
-    effective_conditioning,
-    lwf_witness,
-    separated,
-)
-from .transforms import eamp_from_graph, marginalize_eamp, to_eamp, to_selection_dag
+from .graph import AMP, ERROR, LWF, SEMANTICS, VARIABLE, ChainGraph, _split_names, validate
+
+# Each command imports the layers it runs when it runs, so a cold command
+# compiles only those: validate needs no model code, and only gauss-check
+# and equiv --theorem 4 load numpy.
 
 
 def _read(path: str) -> str:
@@ -84,7 +67,9 @@ def _render_route(route) -> str:
     return " ".join(parts)
 
 
-def _trace(g: ChainGraph, q: SeparationQuery, sep: bool):
+def _trace(g: ChainGraph, q, sep: bool):
+    from .separation import amp_witness, determined_query_nodes, effective_conditioning, lwf_witness
+
     dz = sorted(effective_conditioning(q))
     print(f"# D(Z) = {', '.join(dz) if dz else '(empty)'}")
     swallowed = sorted(determined_query_nodes(q))
@@ -110,6 +95,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_separate(args) -> int:
+    from .separation import SeparationQuery, separated
+
     g, table = fileformat.parse(_read(args.file))
     _require_valid(g)
     q = SeparationQuery(_names(args.x), _names(args.y), _names(args.z), args.semantics, table)
@@ -121,6 +108,8 @@ def _cmd_separate(args) -> int:
 
 
 def _cmd_determine(args) -> int:
+    from .determinism import determined_set
+
     g, table = fileformat.parse(_read(args.file))
     z = _names(args.z)
     missing = [v for v in z if v not in g.nodes]
@@ -132,6 +121,8 @@ def _cmd_determine(args) -> int:
 
 
 def _cmd_to_eamp(args) -> int:
+    from .transforms import to_eamp
+
     g, table = fileformat.parse(_read(args.file))
     _require_plain(g, table, "to-eamp")
     ep = to_eamp(g)
@@ -140,6 +131,8 @@ def _cmd_to_eamp(args) -> int:
 
 
 def _eamp_input(args):
+    from .transforms import eamp_from_graph
+
     g, table = fileformat.parse(_read(args.file))
     ep = eamp_from_graph(g)
     if table.rules and table != ep.table:
@@ -148,6 +141,8 @@ def _eamp_input(args):
 
 
 def _cmd_to_dag(args) -> int:
+    from .transforms import to_selection_dag
+
     ep = _eamp_input(args)
     dag, _sel = to_selection_dag(ep)
     sys.stdout.write(fileformat.serialize(dag, ep.table))
@@ -155,6 +150,8 @@ def _cmd_to_dag(args) -> int:
 
 
 def _cmd_marginalize(args) -> int:
+    from .transforms import marginalize_eamp
+
     ep = _eamp_input(args)
     out = marginalize_eamp(ep, _names(args.drop))
     sys.stdout.write(fileformat.serialize(out.graph, out.table))
@@ -162,6 +159,8 @@ def _cmd_marginalize(args) -> int:
 
 
 def _cmd_model(args) -> int:
+    from .models import enumerate_model
+
     g, table = fileformat.parse(_read(args.file))
     _require_valid(g)
     universe = _names(args.universe) if args.universe else None
@@ -171,6 +170,8 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from .models import IndependenceModel, project_model
+
     m = IndependenceModel.loads(_read(args.file))
     out = project_model(m, _names(args.l), _names(args.s))
     sys.stdout.write(out.dumps())
@@ -189,6 +190,8 @@ class _Side:
         self.extra_z = frozenset(extra_z)
 
     def trace(self, x, y, z) -> str:
+        from .separation import SeparationQuery, amp_witness, lwf_witness, separated
+
         q = SeparationQuery(x, y, set(z) | self.extra_z, self.semantics, self.table)
         if separated(self.graph, q):
             return "separated"
@@ -202,6 +205,10 @@ def _theorem_sides(g: ChainGraph, which: str, seed: int):
 
     Theorem 4 draws several random marginal sets; the rest yield one pair.
     """
+    from .determinism import DeterminationTable
+    from .models import enumerate_model, project_model
+    from .transforms import marginalize_eamp, to_eamp, to_selection_dag
+
     ep = to_eamp(g)
     gp = ep.graph
     empty = DeterminationTable()
@@ -271,6 +278,8 @@ def _theorem_sides(g: ChainGraph, which: str, seed: int):
 
 
 def _cmd_equiv(args) -> int:
+    from .models import model_diff
+
     g, table = fileformat.parse(_read(args.file))
     _require_plain(g, table, "equiv")
     _require_valid(g)
@@ -298,6 +307,7 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_gauss_check(args) -> int:
     from .gaussian import markov_check, sample_system
+    from .models import enumerate_model
 
     g, table = fileformat.parse(_read(args.file))
     _require_plain(g, table, "gauss-check")
@@ -316,6 +326,8 @@ def _cmd_gauss_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .models import random_cg
+
     g = random_cg(args.nodes, args.density, args.seed)
     sys.stdout.write(fileformat.serialize(g))
     return 0

@@ -23,6 +23,11 @@ ERROR = "error"
 SELECTION = "selection"
 NODE_KINDS = (VARIABLE, ERROR, SELECTION)
 
+# the two semantics a chain graph's separations are read under (separation.py)
+AMP = "amp"
+LWF = "lwf"
+SEMANTICS = (AMP, LWF)
+
 
 def error_name(variable: str) -> str:
     """Name of the error node attached to a variable node."""
@@ -44,6 +49,13 @@ def name_problem(name) -> str | None:
     (a comment), is not "-" (the empty list), and keeps "," and "|" inside
     balanced parentheses, as in sel(eps(A),eps(B)).
     """
+    if isinstance(name, str) and name.isalnum():
+        return None  # letters and digits only: the grammar finds nothing
+    return _grammar_problem(name)
+
+
+def _grammar_problem(name) -> str | None:
+    """name_problem without its fast path for letters and digits."""
     if not isinstance(name, str) or not name or any(c.isspace() for c in name):
         return "names are nonempty strings without whitespace"
     if name[0] == "#":
@@ -60,6 +72,28 @@ def name_problem(name) -> str | None:
     if depth:
         return "unbalanced parentheses"
     return None
+
+
+def _split_names(field: str, known=()):
+    """Split a comma-separated name list, respecting parentheses, and refuse
+    a part outside known that is not a node name."""
+    if field == "-":
+        return ()
+    parts, depth, start = [], 0, 0
+    for i, c in enumerate(field):
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+        elif c == "," and depth == 0:
+            parts.append(field[start:i])
+            start = i + 1
+    parts.append(field[start:])
+    for part in parts:
+        problem = part not in known and name_problem(part)
+        if problem:
+            raise ValueError(f"bad node name {part!r}: {problem}")
+    return tuple(parts)
 
 
 def _freeze_nodes(nodes) -> dict:

@@ -33,8 +33,9 @@ from typing import Iterable
 
 from .determinism import DeterminationTable, mask_closure, rule_masks
 from .errors import GuardError
-from .graph import VARIABLE, ChainGraph, name_problem
-from .separation import AMP, LWF, _mask, _masks, _row_core
+from .graph import AMP, LWF, VARIABLE, ChainGraph, _split_names
+from .pcg64 import PCG64
+from .separation import _mask, _masks, _row_core
 
 # full enumeration is exponential; refuse universes past this size
 MAX_MODEL_NODES = 12
@@ -45,28 +46,6 @@ MAX_GEN_NODES = 1000
 def triple_count(n: int) -> int:
     """Number of canonical disjoint triples over an n-node universe."""
     return (4**n - 2 * 3**n + 2**n) // 2
-
-
-def _split_names(field: str, known=()):
-    """Split a comma-separated name list, respecting parentheses, and refuse
-    a part outside known that is not a node name."""
-    if field == "-":
-        return ()
-    parts, depth, start = [], 0, 0
-    for i, c in enumerate(field):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == "," and depth == 0:
-            parts.append(field[start:i])
-            start = i + 1
-    parts.append(field[start:])
-    for part in parts:
-        problem = part not in known and name_problem(part)
-        if problem:
-            raise ValueError(f"bad node name {part!r}: {problem}")
-    return tuple(parts)
 
 
 def _positions(mask: int):
@@ -86,18 +65,15 @@ def _submasks(mask: int):
 
 
 def _unions(row, mask: int):
-    """(s, reach) for each nonempty s ⊆ mask, ascending, where reach is the
-    union of the rows of the members of s."""
-    pos = list(_positions(mask))
-    sets = [0] * (1 << len(pos))
-    reach = [0] * (1 << len(pos))
-    # index k deposits onto the positions of mask, so sets ascend with k
-    for k in range(1, len(sets)):
-        low = k & -k
-        p = pos[low.bit_length() - 1]
-        s = sets[k] = sets[k ^ low] | 1 << p
-        r = reach[k] = reach[k ^ low] | row[p]
-        yield s, r
+    """Lists sets and reach over the subsets of mask, ascending from the empty
+    set, where reach[k] is the union of the rows of the members of sets[k]."""
+    sets, reach = [0], [0]
+    # doubling on each position in turn keeps the subsets ascending
+    for p in _positions(mask):
+        bit, r = 1 << p, row[p]
+        sets += [s | bit for s in sets]
+        reach += [c | r for c in reach]
+    return sets, reach
 
 
 def _core_labellings(row) -> int:
@@ -107,9 +83,14 @@ def _core_labellings(row) -> int:
     for i, r in enumerate(row):
         if r:
             core |= 1 << i
-    return (1 << core.bit_count()) + sum(
-        1 << (core & ~(x | reach)).bit_count() for x, reach in _unions(row, core)
-    )
+    # closed[k]: the k-th subset x of the core with every node connected to it;
+    # the core nodes outside it are free to be y or neither
+    closed = [0]
+    for p in _positions(core):
+        r = (row[p] | 1 << p) & core
+        closed += [c | r for c in closed]
+    free = core.bit_count()
+    return sum(1 << free - c.bit_count() for c in closed)
 
 
 def _positions_of(universe):
@@ -239,8 +220,9 @@ class IndependenceModel:
         """
         row = self.rows[zm]
         free = (len(self.rows) - 1) & ~zm
-        for y, reach in _unions(row, free):
-            a = free & ~(y | reach)
+        sets, reach = _unions(row, free)
+        for y, r in zip(sets[1:], reach[1:]):
+            a = free & ~(y | r)
             below = (y & -y) - 1
             # hi bits outrank lo bits, so this nesting ascends in x
             for h in (0, *_submasks(a & ~below)):
@@ -456,6 +438,9 @@ def model_diff(m1: IndependenceModel, m2: IndependenceModel):
 def random_cg(n: int, edge_density: float, seed: int) -> ChainGraph:
     """Sample a valid chain graph on n variable nodes, deterministic per seed.
 
+    The draws are numpy's default_rng(seed) stream (see pcg64), so a seed
+    gives the same graph with or without numpy installed.
+
     Nodes get a random order and a random split into consecutive blocks;
     undirected edges land within blocks and directed edges run from earlier
     to later blocks, each with the given density, so no semidirected cycle
@@ -467,11 +452,9 @@ def random_cg(n: int, edge_density: float, seed: int) -> ChainGraph:
         raise GuardError(f"{n} nodes requested; guard allows {MAX_GEN_NODES} nodes")
     if not 0.0 <= edge_density <= 1.0:
         raise ValueError("edge_density must be in [0, 1]")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     names = [chr(65 + i) for i in range(n)] if n <= 26 else [f"N{i:03d}" for i in range(n)]
-    order = [str(v) for v in rng.permutation(names)]
+    order = rng.permutation(names)
     blocks: list = []
     for v in order:
         if not blocks or rng.random() < 0.5:

@@ -41,11 +41,7 @@ from typing import Optional
 
 from .determinism import DeterminationTable, determined_set
 from .errors import GuardError, QueryError
-from .graph import ChainGraph, components, strict_ascendants
-
-AMP = "amp"
-LWF = "lwf"
-SEMANTICS = (AMP, LWF)
+from .graph import AMP, LWF, SEMANTICS, ChainGraph, components, strict_ascendants
 
 AMP_ORACLE_MAX_NODES = 12
 LWF_ORACLE_MAX_NODES = 8

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import cgkit.cli
+import cgkit.models
 import cgkit.separation
 from cgkit.cli import run
 from cgkit.fileformat import parse, serialize
@@ -344,13 +345,14 @@ def test_equiv_small_graph_all_theorems(capsys, tmp_path, theorem):
 
 def test_equiv_theorem4_enumerates_the_augmented_model_once(capsys, monkeypatch):
     calls = []
-    enumerate_model = cgkit.cli.enumerate_model
+    # cli imports the models layer inside the command, so the patch goes there
+    enumerate_model = cgkit.models.enumerate_model
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return enumerate_model(*args, **kwargs)
 
-    monkeypatch.setattr(cgkit.cli, "enumerate_model", counting)
+    monkeypatch.setattr(cgkit.models, "enumerate_model", counting)
     code, out, _ = _run(capsys, "equiv", f"{DATA}/demo_g.cg", "--theorem", "4", "--seed", "0")
     assert (code, out) == (0, "pass\n")
     # the augmented model once, then one marginalized graph per draw
@@ -399,6 +401,22 @@ def test_gen_env_seed(capsys, monkeypatch):
     code, out, _ = _run(capsys, "gen", "--nodes", "4", "--density", "0.5")
     assert code == 0
     assert out == _golden_text("random_n4_d05_seed7.cg")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--nodes", "5", "--seed", "3"], "n5_seed3.cg"),
+    (["--nodes", "30", "--density", "0.2", "--seed", "7"], "n30_d02_seed7.cg"),
+])
+def test_gen_matches_numpy_golden(capsys, argv, name):
+    # generated when random_cg drew from numpy's default_rng
+    assert _run(capsys, "gen", *argv)[:2] == (0, _golden_text(f"gen/{name}"))
+
+
+def test_gen_refuses_bad_seeds(capsys):
+    for seed in ("-1", "1.5", "x"):
+        code, out, err = _run(capsys, "gen", "--nodes", "5", "--seed", seed)
+        assert (code, out) == (2, "")
+        assert "seed" in err
 
 
 def test_gen_output_is_parseable_and_valid(capsys):
@@ -514,14 +532,57 @@ def test_graph_commands_run_without_numpy(capsys, tmp_path):
         ["model", f"{DATA}/demo_eamp.cg", "--semantics", "amp", "--universe", "A,B,C,eps(A),eps(B)"],
         ["project", str(tmp_path / "m.txt"), "--l", "A", "--s", "B"],
         ["equiv", f"{DATA}/demo_g.cg", "--theorem", "1"],
+        ["gen", "--nodes", "5", "--seed", "3"],
     ]
     got = json.loads(_fresh_python(_NO_NUMPY, json.dumps(commands)))
     want = [list(_run(capsys, *argv)[:2]) for argv in commands]
     assert got == want
-    assert [code for code, _ in got] == [0, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+    assert [code for code, _ in got] == [0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]
     assert got[4][1] == _golden_text("demo_eamp.cg")
     assert got[5][1] == _golden_text("demo_seldag.cg")
     assert got[6][1] == _golden_text("demo_eamp_margABF.cg")
+    assert got[10][1] == _golden_text("gen/n5_seed3.cg")
+
+
+def test_validate_loads_no_model_layers():
+    out = _fresh_python(
+        "import contextlib, io, sys\n"
+        "import cgkit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cgkit.cli.run(['validate', sys.argv[1]])\n"
+        "layers = ('models', 'separation', 'transforms', 'gaussian')\n"
+        "print(code, *[m for m in layers if 'cgkit.' + m in sys.modules])\n",
+        f"{DATA}/demo_g.cg",
+    )
+    assert out.split() == ["0"]
+
+
+# every name the package exported when it imported all its layers eagerly
+_EXPORTS = """
+    AMP CgkitError ChainGraph ComponentBlock DeterminationTable ERROR EampGraph
+    GaussianSystem GuardError IndependenceModel LWF MarkovReport NumericError
+    ParseError QueryError SELECTION SeparationQuery StructureError VARIABLE
+    amp_separated amp_separated_oracle amp_witness component_topological_order
+    components determined_query_nodes determined_set eamp_from_graph eamp_rules
+    effective_conditioning enumerate_model error_name find_flags joint_covariance
+    joint_covariance_oracle lwf_route_oracle lwf_separated lwf_witness
+    marginalize_eamp markov_check model_diff parents parse partial_correlation
+    project_model random_cg sample_system selection_name separated serialize
+    strict_ascendants to_eamp to_selection_dag triple_count validate
+""".split()
+
+
+def test_package_still_exports_every_name():
+    out = _fresh_python(
+        "import sys, cgkit\n"
+        "names = sys.argv[1].split()\n"
+        "print(sorted(set(names) - set(dir(cgkit))))\n"
+        "print([n for n in names if getattr(cgkit, n, None) is None])\n"
+        "exec('from cgkit import ' + ', '.join(names))\n"
+        "print(cgkit.__version__)\n",
+        " ".join(_EXPORTS),
+    )
+    assert out.split("\n") == ["[]", "[]", "0.1.0", ""]
 
 
 def test_package_loads_the_gaussian_layer_on_first_use():

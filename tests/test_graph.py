@@ -10,7 +10,9 @@ from cgkit.graph import (
     component_topological_order,
     components,
     error_name,
+    _grammar_problem,
     find_flags,
+    name_problem,
     parents,
     selection_name,
     strict_ascendants,
@@ -136,6 +138,13 @@ def test_graph_equality_is_content_based():
     g2 = ChainGraph({"B": VARIABLE, "A": VARIABLE}, {("A", "B")}, set())
     assert g1 == g2 and hash(g1) == hash(g2)
     assert g1 != ChainGraph(["A", "B"], [], [("A", "B")])
+
+
+@given(st.one_of(st.text(), st.text(st.characters(categories=("L", "N"))),
+                 st.text("AZaz09(),|#- \t\u00e9\u0663\u00b2")))
+def test_name_fast_path_agrees_with_the_grammar(name):
+    # letters and digits skip the grammar, which must find nothing in them
+    assert name_problem(name) == _grammar_problem(name)
 
 
 def test_adjacent_spans_both_edge_kinds():

@@ -28,9 +28,10 @@ from cgkit.separation import (
     lwf_connectivity,
     separated,
 )
+from cgkit.pcg64 import PCG64
 from cgkit.transforms import to_eamp
 
-from _corpus import canonical_triples, demo_graph, exhaustive_3node
+from _corpus import canonical_triples, demo_graph, exhaustive_3node, random_corpus
 
 
 EMPTY = DeterminationTable()
@@ -240,6 +241,34 @@ def test_random_cg_density_extremes_fill_blocks():
     assert len(g.directed) + len(g.undirected) == 8 * 7 // 2
 
 
+def test_random_cg_reproduces_the_acceptance_corpus():
+    # the graphs numpy's default_rng drew for the acceptance corpus
+    h = hashlib.sha256()
+    for _tag, g in random_corpus():
+        h.update(serialize(g).encode())
+    assert h.hexdigest() == "4e25e66cbd2af132f190539f53c26d601e1b3c8c0cbd377ee2e1c282961b2167"
+
+
+def test_random_cg_refuses_bad_seeds():
+    with pytest.raises(ValueError):
+        random_cg(4, 0.5, -1)
+    for seed in (1.5, "7", None):
+        with pytest.raises(TypeError):
+            random_cg(4, 0.5, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**128, 2**130 + 12345])
+def test_pcg64_matches_numpy_stream(seed):
+    np = pytest.importorskip("numpy")
+    ours, theirs = PCG64(seed), np.random.default_rng(seed)
+    for size in (1, 2, 3, 5, 9, 17, 33, 1, 4, 100, 2, 7):
+        # permutations draw 32 bits at a time, so random() in between
+        # checks that the buffered upper half carries over
+        assert ours.permutation(range(size)) == [int(v) for v in theirs.permutation(size)]
+        assert ours.random() == theirs.random()
+        assert ours.random() == theirs.random()
+
+
 # --- bulk enumeration vs per-query engine (the core correctness property) --
 
 
@@ -394,6 +423,20 @@ def test_rows_count_round_trip_and_symmetry(sem):
                 assert not row[i] & (zm | 1 << i)
                 for j in range(n):
                     assert (row[i] >> j & 1) == (row[j] >> i & 1)
+
+
+@pytest.mark.parametrize("sem", [AMP, LWF])
+def test_count_matches_expansion_on_larger_models(sem):
+    # 6-8 nodes: random graphs, and augmented 3- and 4-node graphs with their tables
+    cases = [(random_cg(n, d, seed), EMPTY)
+             for n, d, seed in ((6, 0.3, 1), (7, 0.5, 2), (8, 0.2, 3), (8, 0.6, 4))]
+    cases += [(ep.graph, ep.table)
+              for ep in (to_eamp(random_cg(n, 0.5, seed)) for n, seed in ((3, 5), (4, 6), (4, 9)))]
+    assert {len(g.nodes) for g, _ in cases} == {6, 7, 8}
+    assert any(table.rules for _, table in cases)
+    for g, table in cases:
+        m = enumerate_model(g, table, sem)
+        assert len(m) == sum(1 for _ in m.triples())
 
 
 @pytest.mark.parametrize("name, sem, digest", [
