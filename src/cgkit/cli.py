@@ -14,7 +14,7 @@ import sys
 
 from . import fileformat
 from .errors import GuardError, NumericError, ParseError, QueryError, StructureError
-from .graph import AMP, ERROR, LWF, SEMANTICS, VARIABLE, ChainGraph, _split_names, validate
+from .graph import AMP, SEMANTICS, VARIABLE, ChainGraph, _split_names, validate
 
 # Each command imports the layers it runs when it runs, so a cold command
 # compiles only those: validate needs no model code, and only gauss-check
@@ -57,30 +57,25 @@ def _default_seed() -> int:
     return int(env) if env else 0
 
 
-def _render_route(route) -> str:
-    # amp_witness shape: [(node, "->"|"<-"|"--"), ..., (last, None)]
-    parts = []
-    for node, link in route:
-        parts.append(node)
-        if link:
-            parts.append(link)
-    return " ".join(parts)
+def _witness(g: ChainGraph, q) -> str:
+    """The open route (AMP) or moral path (LWF) of a connected query."""
+    from .separation import amp_witness, lwf_witness
+
+    if q.semantics == AMP:
+        # amp_witness shape: [(node, "->"|"<-"|"--"), ..., (last, None)]
+        return f"open route: {' '.join(part for step in amp_witness(g, q) for part in step if part)}"
+    return f"open moral path: {' -- '.join(lwf_witness(g, q))}"
 
 
 def _trace(g: ChainGraph, q, sep: bool):
-    from .separation import amp_witness, determined_query_nodes, effective_conditioning, lwf_witness
+    from .separation import determined_query_nodes, effective_conditioning
 
     dz = sorted(effective_conditioning(q))
     print(f"# D(Z) = {', '.join(dz) if dz else '(empty)'}")
     swallowed = sorted(determined_query_nodes(q))
     if swallowed:
         print(f"# query nodes determined by Z, blocked as endpoints: {', '.join(swallowed)}")
-    if sep:
-        print("# every route between x and y is blocked given D(Z)")
-    elif q.semantics == AMP:
-        print(f"# open route: {_render_route(amp_witness(g, q))}")
-    else:
-        print(f"# open moral path: {' -- '.join(lwf_witness(g, q))}")
+    print("# every route between x and y is blocked given D(Z)" if sep else f"# {_witness(g, q)}")
 
 
 def _cmd_validate(args) -> int:
@@ -178,122 +173,33 @@ def _cmd_project(args) -> int:
     return 0
 
 
-class _Side:
-    """One side of an equivalence: a model plus how to re-derive a triple."""
+def _side_trace(side, x, y, z) -> str:
+    """The verdict on (x, y, z) behind one side of an equivalence, with its witness."""
+    from .separation import SeparationQuery, separated
 
-    def __init__(self, label, model, graph, semantics, table, extra_z=()):
-        self.label = label
-        self.model = model
-        self.graph = graph
-        self.semantics = semantics
-        self.table = table
-        self.extra_z = frozenset(extra_z)
-
-    def trace(self, x, y, z) -> str:
-        from .separation import SeparationQuery, amp_witness, lwf_witness, separated
-
-        q = SeparationQuery(x, y, set(z) | self.extra_z, self.semantics, self.table)
-        if separated(self.graph, q):
-            return "separated"
-        if self.semantics == AMP:
-            return f"connected, open route: {_render_route(amp_witness(self.graph, q))}"
-        return f"connected, open moral path: {' -- '.join(lwf_witness(self.graph, q))}"
-
-
-def _theorem_sides(g: ChainGraph, which: str, seed: int):
-    """The (left, right) comparisons an equivalence claim asserts.
-
-    Theorem 4 draws several random marginal sets; the rest yield one pair.
-    """
-    from .determinism import DeterminationTable
-    from .models import enumerate_model, project_model
-    from .transforms import marginalize_eamp, to_eamp, to_selection_dag
-
-    ep = to_eamp(g)
-    gp = ep.graph
-    empty = DeterminationTable()
-    eps = sorted(v for v in gp.nodes if gp.kind(v) == ERROR)
-    uni = sorted(gp.nodes)
-    if which == "1":
-        return [(
-            _Side("direct model", enumerate_model(g, None, AMP), g, AMP, empty),
-            _Side("error-augmented model, error layer marginalized",
-                  project_model(enumerate_model(gp, ep.table, AMP), eps, ()),
-                  gp, AMP, ep.table),
-        )]
-    if which == "2":
-        return [(
-            _Side("triplex semantics on the error-augmented graph",
-                  enumerate_model(gp, ep.table, AMP), gp, AMP, ep.table),
-            _Side("section semantics on the error-augmented graph",
-                  enumerate_model(gp, ep.table, LWF), gp, LWF, ep.table),
-        )]
-    if which == "3":
-        dag, sel = to_selection_dag(ep)
-        return [(
-            _Side("section semantics on the error-augmented graph",
-                  enumerate_model(gp, ep.table, LWF), gp, LWF, ep.table),
-            _Side("section semantics on the selection graph given the selection nodes",
-                  enumerate_model(dag, ep.table, LWF, uni, condition_on=sel),
-                  dag, LWF, ep.table, sel),
-        )]
-    if which == "4":
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        names = sorted(g.nodes)
-        if len(names) < 2:
-            return []
-        full = enumerate_model(gp, ep.table, AMP)
-        out = []
-        for _ in range(3):
-            k = int(rng.integers(1, len(names)))
-            l = sorted(str(v) for v in rng.choice(names, size=k, replace=False))
-            ml = marginalize_eamp(ep, l)
-            out.append((
-                _Side(f"model marginalized over {{{','.join(l)}}} and the error layer",
-                      project_model(full, l + eps, ()),
-                      gp, AMP, ep.table),
-                _Side(f"model of the graph marginalized over {{{','.join(l)}}}",
-                      project_model(enumerate_model(ml.graph, ml.table, AMP), eps, ()),
-                      ml.graph, AMP, ml.table),
-            ))
-        return out
-    if which == "c1":
-        return [(
-            _Side("direct model", enumerate_model(g, None, AMP), g, AMP, empty),
-            _Side("section semantics on the error-augmented graph, error layer marginalized",
-                  project_model(enumerate_model(gp, ep.table, LWF), eps, ()),
-                  gp, LWF, ep.table),
-        )]
-    if which == "c2":
-        dag, sel = to_selection_dag(ep)
-        return [(
-            _Side("direct model", enumerate_model(g, None, AMP), g, AMP, empty),
-            _Side("section semantics on the selection graph given selection nodes, error layer marginalized",
-                  project_model(enumerate_model(dag, ep.table, LWF, uni, condition_on=sel), eps, ()),
-                  dag, LWF, ep.table, sel),
-        )]
-    raise ValueError(f"unknown theorem {which!r}")
+    q = SeparationQuery(x, y, set(z) | side.condition_on, side.semantics, side.table)
+    return "separated" if separated(side.graph, q) else f"connected, {_witness(side.graph, q)}"
 
 
 def _cmd_equiv(args) -> int:
     from .models import model_diff
+    from .theorems import theorem_sides
 
     g, table = fileformat.parse(_read(args.file))
     _require_plain(g, table, "equiv")
     _require_valid(g)
-    for left, right in _theorem_sides(g, args.theorem, args.seed):
-        if left.model == right.model:
+    for left, right in theorem_sides(g, args.theorem, args.seed):
+        ml, mr = left.model(), right.model()
+        if ml == mr:
             continue
-        only_l, only_r = model_diff(left.model, right.model)
+        only_l, only_r = model_diff(ml, mr)
         x, y, z = (only_l or only_r)[0]
         where = left.label if only_l else right.label
         print(f"counterexample: theorem {args.theorem}")
         print(f"triple: {','.join(x)} | {','.join(y)} | {','.join(z) if z else '-'}")
         print(f"present only in: {where}")
-        print(f"left  ({left.label}): {left.trace(x, y, z)}")
-        print(f"right ({right.label}): {right.trace(x, y, z)}")
+        print(f"left  ({left.label}): {_side_trace(left, x, y, z)}")
+        print(f"right ({right.label}): {_side_trace(right, x, y, z)}")
         print("# input graph")
         sys.stdout.write(fileformat.serialize(g))
         for side in (left, right):

@@ -9,8 +9,10 @@ import pytest
 import cgkit.cli
 import cgkit.models
 import cgkit.separation
+import cgkit.theorems
 from cgkit.cli import run
 from cgkit.fileformat import parse, serialize
+from cgkit.graph import ERROR, ChainGraph
 from cgkit.models import MAX_GEN_NODES, IndependenceModel
 
 from _corpus import demo_graph
@@ -343,20 +345,65 @@ def test_equiv_small_graph_all_theorems(capsys, tmp_path, theorem):
     assert out == "pass\n"
 
 
-def test_equiv_theorem4_enumerates_the_augmented_model_once(capsys, monkeypatch):
-    calls = []
-    # cli imports the models layer inside the command, so the patch goes there
-    enumerate_model = cgkit.models.enumerate_model
+@pytest.mark.parametrize("theorem", ["1", "4", "c1", "c2"])
+def test_equiv_enumerates_models_over_the_variables_only(capsys, monkeypatch, theorem):
+    # each side is one enumeration over the variables, and theorem 4 has three pairs
+    universes = []
+    enumerate_model = cgkit.theorems.enumerate_model
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return enumerate_model(*args, **kwargs)
+    def recording(g, table, semantics, universe=None, **kwargs):
+        universes.append(sorted(g.nodes) if universe is None else sorted(universe))
+        return enumerate_model(g, table, semantics, universe, **kwargs)
 
-    monkeypatch.setattr(cgkit.models, "enumerate_model", counting)
-    code, out, _ = _run(capsys, "equiv", f"{DATA}/demo_g.cg", "--theorem", "4", "--seed", "0")
+    monkeypatch.setattr(cgkit.theorems, "enumerate_model", recording)
+    code, out, _ = _run(capsys, "equiv", f"{DATA}/demo_g.cg", "--theorem", theorem, "--seed", "0")
     assert (code, out) == (0, "pass\n")
-    # the augmented model once, then one marginalized graph per draw
-    assert len(calls) == 4
+    assert len(universes) == (6 if theorem == "4" else 2)
+    assert all(set(u) <= set("ABCDEF") for u in universes)
+
+
+def _drop_error_edge(transform):
+    """transform, with the greatest error edge left out of the graph it returns."""
+    def broken(*args):
+        ep = transform(*args)
+        g = ep.graph
+        edge = max(e for e in g.directed if g.kind(e[0]) == ERROR)
+        return ep._replace(graph=ChainGraph(g.nodes, g.directed - {edge}, g.undirected))
+    return broken
+
+
+# golden stdout of equiv when a broken transform makes a theorem fail,
+# named <theorem>.<patched transform>
+EQUIV_GOLDENS = ["1.to_eamp", "c1.to_eamp", "c2.to_eamp", "4.marginalize_eamp"]
+
+
+@pytest.mark.parametrize("name", EQUIV_GOLDENS)
+def test_equiv_counterexample_matches_golden(capsys, monkeypatch, name):
+    theorem, transform = name.split(".")
+    monkeypatch.setattr(cgkit.theorems, transform, _drop_error_edge(getattr(cgkit.theorems, transform)))
+    code, out, err = _run(capsys, "equiv", f"{DATA}/demo_g.cg", "--theorem", theorem, "--seed", "0")
+    assert (code, err) == (1, "")
+    assert out == _golden_text(f"equiv/demo_g.{name}.out")
+
+
+@pytest.mark.parametrize("theorem", ["1", "2", "3", "4", "c1", "c2"])
+def test_equiv_guard_bounds_the_models_each_theorem_compares(capsys, monkeypatch, theorem):
+    # theorems 1, 4, c1 and c2 compare models over the 7 variables; 2 and 3
+    # compare augmented models over 14 nodes, past the guard
+    _, text, _ = _run(capsys, "gen", "--nodes", "7", "--seed", "1")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = _run(capsys, "equiv", "-", "--theorem", theorem)
+    if theorem in ("2", "3"):
+        assert (code, out) == (3, "")
+        assert err.startswith("cgkit: guard: universe of 14 nodes")
+    else:
+        assert (code, out, err) == (0, "pass\n", "")
+
+
+def test_equiv_theorem1_on_twelve_variables_passes(capsys, monkeypatch):
+    _, text, _ = _run(capsys, "gen", "--nodes", "12", "--seed", "1")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert _run(capsys, "equiv", "-", "--theorem", "1") == (0, "pass\n", "")
 
 
 def test_equiv_refuses_rule_files(capsys):
@@ -550,11 +597,17 @@ def test_validate_loads_no_model_layers():
         "import cgkit.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cgkit.cli.run(['validate', sys.argv[1]])\n"
-        "layers = ('models', 'separation', 'transforms', 'gaussian')\n"
+        "layers = ('models', 'separation', 'transforms', 'theorems', 'gaussian')\n"
         "print(code, *[m for m in layers if 'cgkit.' + m in sys.modules])\n",
         f"{DATA}/demo_g.cg",
     )
     assert out.split() == ["0"]
+
+
+def test_cli_import_loads_no_theorems():
+    # only equiv needs the theorem sides, so importing the command surface leaves them out
+    out = _fresh_python("import sys, cgkit.cli\nprint('cgkit.theorems' in sys.modules)\n")
+    assert out.split() == ["False"]
 
 
 # every name the package exported when it imported all its layers eagerly
